@@ -149,8 +149,8 @@ fn distribute(budget: f64, claims: &[Claim]) -> Vec<f64> {
 /// The datacenter → rack → node budget hierarchy.
 ///
 /// Node indices are **rack-major**: rack 0's nodes first, in order, then
-/// rack 1's, matching [`Fleet`](aapm_platform::fleet::Fleet) node ids
-/// when cohorts are added rack by rack.
+/// rack 1's, matching [`Fleet`] node ids when cohorts are added rack by
+/// rack.
 #[derive(Debug, Clone)]
 pub struct BudgetTree {
     datacenter_w: f64,

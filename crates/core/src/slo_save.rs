@@ -416,6 +416,22 @@ mod tests {
     }
 
     #[test]
+    fn sign_bit_nan_sojourn_also_takes_the_violating_branch() {
+        let table = PStateTable::pentium_m_755();
+        let mut slo = slo_50ms();
+        let current = PStateId::new(3);
+        // x86-64's runtime NaN (`0.0 / 0.0`) has its sign bit set and would
+        // sort below every sojourn if the window kept its bits; a full
+        // window of fast requests around it must still read as violated.
+        let negative_nan = f64::from_bits(0xfff8_0000_0000_0000);
+        let sample = queue_sample(1, &[0.001, 0.001, negative_nan, 0.001, 0.001, 0.001, 0.001]);
+        let chosen = decide(&mut slo, &table, current, Some(&sample));
+        assert_eq!(chosen, table.next_higher(current).unwrap());
+        assert!(slo.p99().unwrap().is_nan());
+        assert!(slo.violation_minutes() > 0.0);
+    }
+
+    #[test]
     fn at_peak_a_violation_stays_at_peak() {
         let table = PStateTable::pentium_m_755();
         let mut slo = slo_50ms();

@@ -3,12 +3,11 @@
 //! Experiments used to duplicate `Box<dyn Governor>` factory closures at
 //! every call site. A `GovernorSpec` is the declarative replacement: a
 //! serializable description of a governor stack (including nested
-//! [`Watchdog`](crate::watchdog::Watchdog) /
-//! [`ThermalGuard`](crate::thermal_guard::ThermalGuard) wrappers) that
-//! [`GovernorSpec::build`] turns into a live governor against a chosen set
-//! of models. The JSON form doubles as run provenance: the experiment
-//! harness records it in the `--trace-out` JSONL header, so a trace file
-//! says exactly which policy produced it.
+//! [`Watchdog`] / [`ThermalGuard`] wrappers) that [`GovernorSpec::build`]
+//! turns into a live governor against a chosen set of models. The JSON
+//! form doubles as run provenance: the experiment harness records it in
+//! the `--trace-out` JSONL header, so a trace file says exactly which
+//! policy produced it.
 //!
 //! The crate vendors no serde, so the JSON codec is hand-rolled: a fixed
 //! key order on output and the shared [`crate::json`] recursive-descent

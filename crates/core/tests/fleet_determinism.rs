@@ -89,8 +89,12 @@ fn build_controller() -> FleetPmController {
     .unwrap()
 }
 
-/// Everything observable about one node, as exact bits.
-fn node_state(fleet: &Fleet) -> Vec<(u64, u64, Vec<u64>, Option<u64>, usize)> {
+/// Everything observable about one node, as exact bits: energy, elapsed
+/// time, every counter, completion time (if finished) and p-state index.
+type NodeBits = (u64, u64, Vec<u64>, Option<u64>, usize);
+
+/// [`NodeBits`] for every node of the fleet.
+fn node_state(fleet: &Fleet) -> Vec<NodeBits> {
     use aapm_platform::events::HardwareEvent;
     let mut out = Vec::new();
     for cohort in 0..fleet.cohort_count() {

@@ -89,7 +89,7 @@ fn build_fleet() -> Result<Fleet> {
     Ok(fleet)
 }
 
-/// The budget tree matching [`build_fleet`]'s node order: one rack per
+/// The budget tree matching `build_fleet`'s node order: one rack per
 /// cohort, rack ceilings loose enough (120 W) that a compute rack can
 /// absorb most of the slack the other racks give back.
 pub fn budget_racks() -> Vec<RackSpec> {

@@ -63,7 +63,7 @@ const IRLS_CONVERGENCE: f64 = 1e-12;
 ///
 /// Starts from the L2 solution and reweights each point by the inverse of
 /// its current absolute residual, stopping early once an iteration moves
-/// both coefficients by less than [`IRLS_CONVERGENCE`] (relative): from a
+/// both coefficients by less than `IRLS_CONVERGENCE` (relative): from a
 /// fixed point the reweighting reproduces the same solution, so further
 /// iterations are pure waste. `iterations` is the cap for fits that keep
 /// oscillating. Returns `None` under the same conditions as

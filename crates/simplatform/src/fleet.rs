@@ -613,7 +613,7 @@ mod tests {
         fn feed(&mut self, fleet: &mut Fleet, upto: u64) {
             while self.fed_until < upto {
                 let tick = self.fed_until;
-                if tick % 2 == 0 {
+                if tick.is_multiple_of(2) {
                     let arrival = fleet.time_at(tick);
                     for lane in 0..fleet.lanes(0) {
                         fleet.offer_request(0, lane, Request::new(arrival, 8e6));

@@ -37,7 +37,8 @@ pub fn summarize(values: &[f64]) -> Option<Summary> {
 /// `None` for an empty slice. Used for the paper's "three runs, report the
 /// median" methodology.
 ///
-/// NaNs sort after `+inf` (IEEE 754 total order), so they never panic and
+/// NaNs are ordered by [`f64::total_cmp`] (IEEE 754 total order: `f64::NAN`
+/// after `+inf`, sign-bit NaNs before `-inf`), so they never panic and
 /// only reach the result when they crowd past the midpoint — a NaN result
 /// is an honest "your samples were NaN", not a crash.
 pub fn median(values: &[f64]) -> Option<f64> {
@@ -56,20 +57,24 @@ pub fn median(values: &[f64]) -> Option<f64> {
 /// a poisoned rank must degrade like missing telemetry does everywhere
 /// else in the stack, not panic the control loop.
 ///
-/// NaNs in `values` sort after `+inf` (IEEE 754 total order) instead of
-/// panicking. The interpolation rank is clamped to the slice, and exact
-/// ranks (p = 0, p = 100, single element) return the element directly
-/// rather than interpolating — `inf * 0.0` would manufacture a NaN.
+/// NaNs in `values` are ordered by [`f64::total_cmp`] (as in [`median`])
+/// instead of panicking. The interpolation rank is clamped to the slice,
+/// and exact ranks (p = 0, p = 100, single element) return the element
+/// directly rather than interpolating — `inf * 0.0` would manufacture a
+/// NaN.
 pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
-    if !(0.0..=100.0).contains(&p) {
-        return None;
-    }
-    if values.is_empty() {
-        return None;
-    }
     let mut sorted = values.to_vec();
     sorted.sort_by(f64::total_cmp);
-    let rank = (p / 100.0 * (sorted.len() - 1) as f64).clamp(0.0, (sorted.len() - 1) as f64);
+    percentile_of_sorted(&sorted, p)
+}
+
+/// [`percentile`] over values already in [`f64::total_cmp`] order.
+pub(crate) fn percentile_of_sorted(sorted: &[f64], p: f64) -> Option<f64> {
+    if !(0.0..=100.0).contains(&p) || sorted.is_empty() {
+        return None;
+    }
+    let last = (sorted.len() - 1) as f64;
+    let rank = (p / 100.0 * last).clamp(0.0, last);
     let lo = rank.floor() as usize;
     let hi = (rank.ceil() as usize).min(sorted.len() - 1);
     let frac = rank - lo as f64;

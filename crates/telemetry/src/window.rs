@@ -1,7 +1,11 @@
 //! Fixed-capacity moving windows over samples.
 //!
 //! PM enforces its power limit over a moving window of ten 10 ms samples
-//! (100 ms); this module provides the window arithmetic.
+//! (100 ms); this module provides the window arithmetic. The window also
+//! serves order statistics: SLO governors read the moving p99 of request
+//! sojourns on every 10 ms decision, so [`MovingWindow`] keeps its values
+//! sorted as they arrive. A push costs a binary search plus a shift of at
+//! most `capacity` values (O(log w + w)); a percentile is O(1).
 
 use std::collections::VecDeque;
 
@@ -18,10 +22,16 @@ use std::collections::VecDeque;
 /// w.push(3.0);
 /// w.push(4.0); // evicts 1.0
 /// assert_eq!(w.mean(), Some(3.0));
+/// assert_eq!(w.percentile(100.0), Some(4.0));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct MovingWindow {
+    /// Held values, oldest first.
     values: VecDeque<f64>,
+    /// The same values in [`f64::total_cmp`] order, for the order
+    /// statistics. Allocated on the first push, so an unused window costs
+    /// one allocation, not two.
+    sorted: Vec<f64>,
     capacity: usize,
 }
 
@@ -33,15 +43,31 @@ impl MovingWindow {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "window capacity must be positive");
-        MovingWindow { values: VecDeque::with_capacity(capacity), capacity }
+        MovingWindow { values: VecDeque::with_capacity(capacity), sorted: Vec::new(), capacity }
     }
 
     /// Appends a value, evicting the oldest if full.
+    ///
+    /// Every NaN is stored as [`f64::NAN`], whatever its sign and payload.
+    /// Runtime NaNs such as `0.0 / 0.0` carry the sign bit on x86-64, and
+    /// `total_cmp` would sort them below `-inf`; the canonical NaN sorts
+    /// above `+inf`, so a poisoned sample inflates the tail instead of
+    /// hiding in it.
     pub fn push(&mut self, value: f64) {
+        let value = if value.is_nan() { f64::NAN } else { value };
+        if self.sorted.is_empty() {
+            self.sorted.reserve_exact(self.capacity);
+        }
         if self.values.len() == self.capacity {
-            self.values.pop_front();
+            let evicted = self.values.pop_front().expect("a full window holds a value");
+            // Equal under `total_cmp` means bit-identical, so the first
+            // match is exactly the evicted value.
+            let at = self.sorted.partition_point(|v| v.total_cmp(&evicted).is_lt());
+            self.sorted.remove(at);
         }
         self.values.push_back(value);
+        let at = self.sorted.partition_point(|v| v.total_cmp(&value).is_le());
+        self.sorted.insert(at, value);
     }
 
     /// Number of values currently held.
@@ -84,15 +110,16 @@ impl MovingWindow {
     }
 
     /// Linear-interpolation percentile of the held values (`p` in
-    /// `[0, 100]`); `None` when the window is empty or `p` is out of range
-    /// (see [`crate::stats::percentile`]). This is the tail-latency probe
+    /// `[0, 100]`); `None` when the window is empty or `p` is out of range.
+    /// Bit-identical to [`crate::stats::percentile`] over [`Self::iter`],
+    /// read in O(1) from the sorted copy. This is the tail-latency probe
     /// for SLO governors: `window.percentile(99.0)` over a window of
-    /// sojourn times is the moving p99. NaNs among the held values sort
-    /// after `+inf`, so a few poisoned samples inflate the tail (fail-safe
-    /// toward "SLO violated") rather than panicking.
+    /// sojourn times is the moving p99. Held NaNs are canonical (see
+    /// [`Self::push`]) and sort after `+inf`, so a few poisoned samples
+    /// inflate the tail (fail-safe toward "SLO violated") rather than
+    /// panicking.
     pub fn percentile(&self, p: f64) -> Option<f64> {
-        let values: Vec<f64> = self.values.iter().copied().collect();
-        crate::stats::percentile(&values, p)
+        crate::stats::percentile_of_sorted(&self.sorted, p)
     }
 
     /// Whether every held value satisfies `predicate`. `false` when the
@@ -105,6 +132,7 @@ impl MovingWindow {
     /// Clears the window.
     pub fn clear(&mut self) {
         self.values.clear();
+        self.sorted.clear();
     }
 
     /// Iterates over held values, oldest first.
@@ -186,6 +214,20 @@ mod tests {
         // Out-of-range ranks degrade to None, not a panic.
         assert_eq!(w.percentile(101.0), None);
         assert_eq!(w.percentile(f64::NAN), None);
+    }
+
+    #[test]
+    fn negative_nan_is_canonicalised_and_inflates_the_tail() {
+        // The bit pattern x86-64 produces for `0.0 / 0.0` and `inf - inf`:
+        // sign bit set, which `total_cmp` orders below -inf.
+        let negative_nan = f64::from_bits(0xfff8_0000_0000_0000);
+        let mut w = MovingWindow::new(4);
+        for v in [1.0, negative_nan, 2.0] {
+            w.push(v);
+        }
+        assert!(w.percentile(100.0).unwrap().is_nan());
+        assert_eq!(w.percentile(0.0), Some(1.0));
+        assert!(w.iter().all(|v| !v.is_nan() || v.to_bits() == f64::NAN.to_bits()));
     }
 
     #[test]

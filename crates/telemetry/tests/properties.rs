@@ -6,6 +6,7 @@ use aapm_telemetry::stats::{median, percentile, summarize};
 use aapm_telemetry::trace::{RunTrace, TraceRecord};
 use aapm_telemetry::window::MovingWindow;
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 /// Any f64, including the non-finite values the stats helpers must survive
 /// (one third of draws are NaN or ±inf).
@@ -15,6 +16,25 @@ fn any_sample() -> impl Strategy<Value = f64> {
         1 => f64::INFINITY,
         2 => f64::NEG_INFINITY,
         _ => v,
+    })
+}
+
+/// One step of a window's life: push a value, or clear the window.
+#[derive(Debug, Clone, Copy)]
+enum WindowOp {
+    Push(f64),
+    Clear,
+}
+
+/// Pushes drawn from [`any_sample`] plus the bit patterns an ordering can
+/// trip on (`-0.0`, and NaN with either sign), with an occasional clear.
+fn window_op() -> impl Strategy<Value = WindowOp> {
+    (0usize..40, any_sample()).prop_map(|(kind, v)| match kind {
+        0 => WindowOp::Clear,
+        1 => WindowOp::Push(-0.0),
+        2 => WindowOp::Push(f64::NAN),
+        3 => WindowOp::Push(f64::from_bits(0xfff8_0000_0000_0000)),
+        _ => WindowOp::Push(v),
     })
 }
 
@@ -66,6 +86,46 @@ proptest! {
         let expected: Vec<f64> =
             values.iter().rev().take(capacity).rev().copied().collect();
         prop_assert_eq!(window.iter().collect::<Vec<_>>(), expected);
+    }
+
+    /// The window's incremental order statistics are bit-identical to
+    /// sorting its held values from scratch, after every push and clear,
+    /// and eviction still keeps exactly the most recent `capacity` values.
+    #[test]
+    fn window_percentile_is_bit_identical_to_sorting(
+        capacity in 1usize..301,
+        ops in prop::collection::vec(window_op(), 0..400),
+        p in 0.0f64..100.0,
+    ) {
+        let mut window = MovingWindow::new(capacity);
+        let mut expected: VecDeque<f64> = VecDeque::new();
+        for op in ops {
+            match op {
+                WindowOp::Push(v) => {
+                    window.push(v);
+                    if expected.len() == capacity {
+                        expected.pop_front();
+                    }
+                    expected.push_back(if v.is_nan() { f64::NAN } else { v });
+                }
+                WindowOp::Clear => {
+                    window.clear();
+                    expected.clear();
+                }
+            }
+            prop_assert_eq!(window.len(), expected.len());
+            let held: Vec<f64> = window.iter().collect();
+            prop_assert_eq!(
+                held.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                expected.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            );
+            for rank in [p, 99.0, 100.0] {
+                prop_assert_eq!(
+                    window.percentile(rank).map(f64::to_bits),
+                    percentile(&held, rank).map(f64::to_bits)
+                );
+            }
+        }
     }
 
     /// Trace energy equals the sum of sample powers times the interval, and

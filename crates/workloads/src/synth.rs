@@ -84,7 +84,7 @@ mod tests {
             let a = random_program(seed, 6);
             let b = random_program(seed, 6);
             assert_eq!(a, b);
-            assert!(a.len() >= 1 && a.len() <= 6);
+            assert!((1..=6).contains(&a.len()));
             assert!(a.total_instructions() > 0);
         }
     }
