@@ -25,28 +25,29 @@
 //!    (NaN, ±∞, negatives).
 //!
 //! [`FleetPmController`] is the glue to the discrete-event fleet
-//! simulator ([`aapm_platform::fleet`]): it runs a real
-//! [`PerformanceMaximizer`] per node off hand-built counter samples from
-//! the batch SoA state, folds each window's minimum headroom per node,
-//! and at the cluster cadence feeds those into the tree and pushes the
-//! resulting caps back down as [`GovernorCommand::SetPowerLimit`]
-//! commands. [`ClusterSpec`] is the serializable description (spec kind
-//! `"cluster"`), following the hand-rolled JSON conventions of
-//! [`crate::spec`].
+//! simulator ([`aapm_platform::fleet`]): it runs one node control loop —
+//! the same pipeline a [`Session`](crate::runtime::Session) steps, around
+//! a real [`PerformanceMaximizer`] — on every lane, folds each window's
+//! minimum headroom per node, and at the cluster cadence feeds those into
+//! the tree and pushes the resulting caps back down as
+//! [`GovernorCommand::SetPowerLimit`] commands. [`ClusterSpec`] is the
+//! serializable description (spec kind `"cluster"`), following the
+//! hand-rolled JSON conventions of [`crate::spec`].
 
 use aapm_models::power_model::PowerModel;
-use aapm_platform::counters::CounterSnapshot;
 use aapm_platform::error::{PlatformError, Result};
-use aapm_platform::events::HardwareEvent;
-use aapm_platform::fleet::{CohortId, Fleet, FleetController};
+use aapm_platform::fleet::{CohortId, CohortMode, Fleet, FleetController};
 use aapm_platform::pstate::PStateTable;
-use aapm_platform::units::Seconds;
-use aapm_telemetry::pmc::CounterSample;
+use aapm_platform::units::Watts;
+use aapm_platform::workload::WorkloadSource;
+use aapm_telemetry::faults::FaultPlan;
+use aapm_telemetry::metrics::Metrics;
 
-use crate::governor::{Governor, GovernorCommand, SampleContext};
+use crate::governor::{Governor, GovernorCommand};
 use crate::json::Json;
 use crate::limits::PowerLimit;
 use crate::pm::PerformanceMaximizer;
+use crate::runtime::{NodeLoop, SimulationConfig};
 
 /// Caps pushed to node PMs never fall below this, so
 /// [`PowerLimit::new`] always accepts them even if a degenerate tree
@@ -560,22 +561,24 @@ fn expect_keys(fields: &[(String, Json)], what: &str, keys: &[&str]) -> Result<(
     Ok(())
 }
 
-/// Drives a fleet with one [`PerformanceMaximizer`] per node and an
-/// optional [`ClusterGovernor`] reallocating caps at the governor cadence
-/// (`None` = static caps, the uniform baseline).
+/// Drives a fleet with one node control loop per node — the session
+/// pipeline around a [`PerformanceMaximizer`] — and an optional
+/// [`ClusterGovernor`] reallocating caps at the governor cadence (`None` =
+/// static caps, the uniform baseline).
 ///
 /// Node indexing must line up: the tree's rack-major node order (or the
-/// static caps vector) is the fleet's global node order. Fast-forward
-/// cohorts never step, so their nodes simply hold their caps; they are
-/// advanced to the governor tick here so metering stays current.
+/// static caps vector) is the fleet's global node order, and a fleet with
+/// a different node count is rejected at the first callback. Node loops
+/// run with an inert fault plan, a disabled metrics handle, and DAQ and
+/// thermal sensors seeded by node id. Fast-forward cohorts never step, so
+/// their nodes simply hold their caps; they are advanced to the governor
+/// tick here so metering stays current.
 #[derive(Debug)]
 pub struct FleetPmController {
     table: PStateTable,
     cluster: Option<ClusterGovernor>,
     caps_w: Vec<f64>,
-    pms: Vec<PerformanceMaximizer>,
-    prev: Vec<CounterSnapshot>,
-    prev_time_s: Vec<f64>,
+    nodes: Vec<NodeLoop<PerformanceMaximizer>>,
     prev_energy_j: Vec<f64>,
     /// Per-node minimum guardband headroom observed this cluster window.
     min_headroom_w: Vec<Option<f64>>,
@@ -620,25 +623,66 @@ impl FleetPmController {
         cluster: Option<ClusterGovernor>,
     ) -> Result<Self> {
         let n = caps_w.len();
-        let mut pms = Vec::with_capacity(n);
-        for cap in &caps_w {
-            pms.push(PerformanceMaximizer::new(
-                model.clone(),
-                PowerLimit::new(cap.max(MIN_NODE_CAP_W))?,
-            ));
+        let mut nodes = Vec::with_capacity(n);
+        for (node, cap) in caps_w.iter().enumerate() {
+            let limit = PowerLimit::new(cap.max(MIN_NODE_CAP_W))?;
+            let pm = PerformanceMaximizer::new(model.clone(), limit);
+            let config = SimulationConfig { seed: node as u64, ..SimulationConfig::default() };
+            let plan = FaultPlan::new(config.faults)?;
+            nodes.push(NodeLoop::new(pm, &config, plan, Vec::new(), Metrics::disabled()));
         }
         Ok(FleetPmController {
             table,
             cluster,
             caps_w,
-            pms,
-            prev: vec![CounterSnapshot::zero(); n],
-            prev_time_s: vec![0.0; n],
+            nodes,
             prev_energy_j: vec![0.0; n],
             min_headroom_w: vec![None; n],
             windows: 0,
             violation_windows: 0,
         })
+    }
+
+    /// Hands `cohort`'s lanes one open-loop arrival stream each, in lane
+    /// order. Each lane's node loop queues the window `[time_at(now),
+    /// time_at(now + cadence))` right after its decision at tick `now`;
+    /// the first window, from 0, is queued here, so call this before the
+    /// run.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a fleet whose node count differs from the controller's, a
+    /// fast-forward cohort, and a stream count other than the cohort's
+    /// lane count.
+    ///
+    /// # Panics
+    ///
+    /// As [`Fleet::offer_request`]: panics if a lane is a batch machine.
+    pub fn feed<S: WorkloadSource + 'static>(
+        &mut self,
+        fleet: &mut Fleet,
+        cohort: CohortId,
+        streams: Vec<S>,
+    ) -> Result<()> {
+        self.check_nodes(fleet)?;
+        let CohortMode::Governed { cadence_ticks } = fleet.mode(cohort) else {
+            return Err(invalid(format!("cohort {cohort} is fast-forward and takes no arrivals")));
+        };
+        if streams.len() != fleet.lanes(cohort) {
+            return Err(invalid(format!(
+                "cohort {cohort} has {} lanes but {} streams",
+                fleet.lanes(cohort),
+                streams.len()
+            )));
+        }
+        let (start, end) = (fleet.time_at(0), fleet.time_at(cadence_ticks));
+        let offset = fleet.node_offset(cohort);
+        for (lane, stream) in streams.into_iter().enumerate() {
+            let node = &mut self.nodes[offset + lane];
+            node.source = Some(Box::new(stream));
+            node.before_tick(&mut fleet.lane_mut(cohort, lane), start, end);
+        }
+        Ok(())
     }
 
     /// Current per-node caps in fleet node order.
@@ -676,70 +720,66 @@ impl FleetPmController {
             None => headroom_w,
         });
     }
+
+    /// One per-node state per fleet node: a bigger fleet would index past
+    /// it, a smaller one would leave phantom tree nodes holding budget.
+    fn check_nodes(&self, fleet: &Fleet) -> Result<()> {
+        if fleet.nodes() == self.nodes.len() {
+            return Ok(());
+        }
+        Err(invalid(format!(
+            "the fleet has {} nodes but the controller governs {}",
+            fleet.nodes(),
+            self.nodes.len()
+        )))
+    }
 }
 
 impl FleetController for FleetPmController {
     fn cohort_stepped(&mut self, fleet: &mut Fleet, cohort: CohortId, now_ticks: u64) -> Result<()> {
+        self.check_nodes(fleet)?;
+        let CohortMode::Governed { cadence_ticks } = fleet.mode(cohort) else {
+            return Ok(());
+        };
         let offset = fleet.node_offset(cohort);
+        let interval = fleet.cohort_dt(cohort);
         let now = fleet.time_at(now_ticks);
+        let next = fleet.time_at(now_ticks + cadence_ticks);
+        // Power is metered over the step's span of the fleet clock.
+        let dt = now.seconds() - fleet.time_at(now_ticks.saturating_sub(cadence_ticks)).seconds();
         for lane in 0..fleet.lanes(cohort) {
             let node = offset + lane;
-            let snapshot = fleet.counter_snapshot(cohort, lane);
             let energy_j = fleet.energy(cohort, lane).joules();
-            let machine = fleet.machine(cohort, lane);
-            let finished = machine.finished();
-            let current = machine.pstate();
-            let start_s = self.prev_time_s[node];
-            let dt = now.seconds() - start_s;
-            if finished {
+            if fleet.machine(cohort, lane).finished() {
                 // A completed node's whole cap is reclaimable slack.
                 self.fold_headroom(node, self.caps_w[node]);
-            } else if dt > 0.0 {
+            } else {
                 self.windows += 1;
                 if (energy_j - self.prev_energy_j[node]) / dt > self.caps_w[node] {
                     self.violation_windows += 1;
                 }
-                let delta = snapshot - self.prev[node];
-                let sample = CounterSample {
-                    start: Seconds::new(start_s),
-                    end: now,
-                    cycles: delta.get(HardwareEvent::Cycles),
-                    counts: vec![(
-                        HardwareEvent::InstructionsDecoded,
-                        delta.get(HardwareEvent::InstructionsDecoded),
-                        true,
-                    )],
-                };
-                let ctx = SampleContext {
-                    counters: &sample,
-                    power: None,
-                    temperature: None,
-                    current,
-                    table: &self.table,
-                    queue: None,
-                };
-                let chosen = self.pms[node].decide(&ctx);
+                let node_loop = &mut self.nodes[node];
+                let mut machine = fleet.lane_mut(cohort, lane);
+                let current = machine.pstate();
+                node_loop.after_tick(&mut machine, &self.table, current, interval)?;
+                node_loop.before_tick(&mut machine, now, next);
                 // A throttled node's deficit is negative headroom: its
                 // demand rises above the current cap by exactly what the
                 // next p-state up would cost, so slack reclaimed elsewhere
                 // flows here.
-                if let Some(deficit) = self.pms[node].last_deficit() {
-                    self.fold_headroom(node, -deficit.watts());
-                } else if let Some(headroom) = self.pms[node].last_headroom() {
-                    self.fold_headroom(node, headroom.watts());
-                }
-                if chosen != current {
-                    fleet.set_pstate(cohort, lane, chosen)?;
+                let pm = &node_loop.governor;
+                let deficit_w = pm.last_deficit().map(|deficit| -deficit.watts());
+                if let Some(headroom_w) = deficit_w.or(pm.last_headroom().map(Watts::watts)) {
+                    self.fold_headroom(node, headroom_w);
                 }
             }
-            self.prev[node] = snapshot;
-            self.prev_time_s[node] = now.seconds();
             self.prev_energy_j[node] = energy_j;
         }
         Ok(())
     }
 
     fn governor_tick(&mut self, fleet: &mut Fleet, now_ticks: u64) -> Result<()> {
+        self.check_nodes(fleet)?;
         // Keep unobserved (fast-forward) spans advanced to the cluster
         // cadence so their books are current.
         fleet.advance_fastforward_to(now_ticks)?;
@@ -748,9 +788,9 @@ impl FleetController for FleetPmController {
             for (node, cap) in new_caps.into_iter().enumerate() {
                 if cap != self.caps_w[node] {
                     self.caps_w[node] = cap;
-                    self.pms[node].command(GovernorCommand::SetPowerLimit(PowerLimit::new(
-                        cap.max(MIN_NODE_CAP_W),
-                    )?));
+                    self.nodes[node].governor.command(GovernorCommand::SetPowerLimit(
+                        PowerLimit::new(cap.max(MIN_NODE_CAP_W))?,
+                    ));
                 }
             }
         }
@@ -765,6 +805,12 @@ impl FleetController for FleetPmController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aapm_platform::config::MachineConfig;
+    use aapm_platform::machine::Machine;
+    use aapm_platform::phase::PhaseDescriptor;
+    use aapm_platform::program::PhaseProgram;
+    use aapm_platform::units::Seconds;
+    use aapm_workloads::requests::RequestWorkload;
     use proptest::prelude::*;
 
     fn two_rack_spec() -> Vec<RackSpec> {
@@ -989,6 +1035,86 @@ mod tests {
                 tree.reallocate(demands);
                 tree.assert_invariants();
             }
+        }
+    }
+
+    /// A fleet of `lanes` long-running batch nodes in one 10-tick cohort.
+    fn batch_fleet(lanes: usize) -> Fleet {
+        let phase = PhaseDescriptor::builder("fleet-node")
+            .instructions(50_000_000_000)
+            .core_cpi(0.8)
+            .build()
+            .unwrap();
+        let machines = (0..lanes)
+            .map(|lane| {
+                let config = MachineConfig::pentium_m_755(lane as u64);
+                Machine::new(config, PhaseProgram::from_phase(phase.clone()))
+            })
+            .collect();
+        let mut fleet = Fleet::new(Seconds::from_millis(10.0));
+        fleet.add_cohort(machines, CohortMode::Governed { cadence_ticks: 10 }).unwrap();
+        fleet
+    }
+
+    /// Both directions of a node-count mismatch fail the run with a
+    /// config error instead of indexing past the per-node state (more
+    /// fleet nodes) or leaving phantom tree nodes holding budget (fewer).
+    #[test]
+    fn fleets_with_another_node_count_are_rejected() {
+        let (table, model) = (PStateTable::pentium_m_755(), PowerModel::paper_table_ii());
+        let two_node_tree = vec![RackSpec {
+            ceiling_w: 40.0,
+            nodes: vec![NodeSpec { floor_w: 6.0, ceiling_w: 24.5 }; 2],
+        }];
+        let governor = ClusterGovernor::new(BudgetTree::new(30.0, &two_node_tree).unwrap());
+        let mut bigger_fleet =
+            FleetPmController::hierarchical(table.clone(), &model, governor).unwrap();
+        let mut smaller_fleet = FleetPmController::uniform(table, &model, vec![12.0; 3]).unwrap();
+        for (lanes, controller) in [(3, &mut bigger_fleet), (2, &mut smaller_fleet)] {
+            let err = batch_fleet(lanes).run_des(100, 50, controller).unwrap_err();
+            assert!(
+                matches!(err, PlatformError::InvalidConfig { parameter: "cluster", .. }),
+                "{lanes}-node fleet: {err}"
+            );
+            assert_eq!(controller.windows(), 0, "{lanes}-node fleet: no node was stepped");
+        }
+    }
+
+    /// Serve lanes under the controller have their completions drained
+    /// every window, the way a session drains them, so a lane's queue
+    /// holds only the sojourns of the window since its last decision —
+    /// not every completion of the run.
+    #[test]
+    fn serve_lanes_drain_their_sojourns_every_window() {
+        let mut family = RequestWorkload::builder("drain");
+        family.seed(5).day(Seconds::new(4.0)).rates(80.0, 160.0);
+        let family = family.build().unwrap();
+        let streams: Vec<RequestWorkload> = (0..2).map(|lane| family.reseeded(lane)).collect();
+        let machines = streams
+            .iter()
+            .enumerate()
+            .map(|(lane, stream)| stream.machine(MachineConfig::pentium_m_755(lane as u64)))
+            .collect();
+        let mut fleet = Fleet::new(Seconds::from_millis(10.0));
+        fleet.add_cohort(machines, CohortMode::Governed { cadence_ticks: 10 }).unwrap();
+        let (table, model) = (PStateTable::pentium_m_755(), PowerModel::paper_table_ii());
+        let mut controller = FleetPmController::uniform(table, &model, vec![14.0; 2]).unwrap();
+        controller.feed(&mut fleet, 0, streams).unwrap();
+        fleet.run_des(300, 100, &mut controller).unwrap();
+
+        let dt = fleet.cohort_dt(0);
+        for lane in 0..2 {
+            let mut machine = fleet.lane_mut(0, lane);
+            let before = machine.queue().unwrap().completed();
+            // One more window: the node loop queued its arrivals already.
+            machine.tick(dt);
+            let sample = machine.take_queue_sample().unwrap();
+            assert_eq!(
+                sample.sojourns.len() as u64,
+                sample.completed - before,
+                "lane {lane}: only the last window's completions are pending"
+            );
+            assert!(before > sample.sojourns.len() as u64, "lane {lane} served the run");
         }
     }
 }

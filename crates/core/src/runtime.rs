@@ -10,31 +10,39 @@
 //! and [`Session::step`] exposes the control loop one interval at a time
 //! so a future scheduler can interleave many sessions.
 //!
+//! The interval pipeline itself is the crate-private `NodeLoop`, which
+//! runs around a tick it does not own: a session ticks its own machine
+//! between the loop's two halves, and the fleet controller
+//! ([`crate::cluster::FleetPmController`]) runs the same halves on each
+//! fleet lane after the fleet's batch sweep has ticked it.
+//!
 //! Sessions are generic over the [`WorkloadSource`] they drive. A batch
 //! source (a [`PhaseProgram`](aapm_platform::program::PhaseProgram)) runs
 //! to completion; an open-loop source keeps its machine's request queue
-//! fed — the runtime pulls the arrivals for each upcoming interval before
-//! ticking, drains a [`QueueSample`] afterwards, and shows it to the
-//! governor ([`SampleContext::queue`]) and the metrics registry
-//! (`queue.depth` gauge, `request.sojourn_s` histogram).
+//! fed — the node loop queues the arrivals for each upcoming interval
+//! before the tick, drains a
+//! [`QueueSample`](aapm_platform::requests::QueueSample) afterwards, and
+//! shows it to the governor ([`SampleContext::queue`]) and the metrics
+//! registry (`queue.depth` gauge, `request.sojourn_s` histogram).
 
 use aapm_platform::config::MachineConfig;
 use aapm_platform::error::{PlatformError, Result};
 use aapm_platform::machine::Machine;
 use aapm_platform::pstate::{PStateId, PStateTable};
-use aapm_platform::requests::{QueueSample, Request};
-use aapm_platform::units::{Joules, Seconds};
+use aapm_platform::requests::Request;
+use aapm_platform::units::{Joules, Seconds, Watts};
 use aapm_platform::workload::WorkloadSource;
 use aapm_telemetry::daq::{DaqConfig, PowerDaq, PowerSample};
 use aapm_telemetry::faults::{
     ActuationFault, FaultConfig, FaultPlan, FaultStats, FaultWindow, PowerFault,
 };
 use aapm_telemetry::metrics::{EventKind, Metrics};
-use aapm_telemetry::pmc::PmcDriver;
+use aapm_telemetry::pmc::{CounterSample, PmcDriver};
 use aapm_telemetry::sensor::{ThermalSensor, ThermalSensorConfig};
 use aapm_telemetry::trace::RunTrace;
 
 use crate::governor::{Governor, GovernorCommand, SampleContext};
+use crate::layer::GovernorLayer;
 use crate::report::{RequestSummary, RunReport};
 use crate::spec::{GovernorSpec, SpecModels};
 
@@ -81,103 +89,6 @@ pub struct ScheduledCommand {
     pub command: GovernorCommand,
 }
 
-/// The p-state actuator with injected write faults layered on top.
-///
-/// Models an MSR-write path that can silently drop a write (retried
-/// in-interval with capped backoff) or stall one for a bounded number of
-/// intervals before it lands. An intact write supersedes any in-flight
-/// stalled write, exactly as a later MSR write overrides an earlier one.
-#[derive(Debug)]
-struct FaultyActuator {
-    retry_limit: usize,
-    stall_intervals: usize,
-    /// A stalled write still in flight: `(target, intervals until it lands)`.
-    pending: Option<(PStateId, usize)>,
-}
-
-impl FaultyActuator {
-    fn new(config: &FaultConfig) -> Self {
-        FaultyActuator {
-            retry_limit: config.retry_limit,
-            stall_intervals: config.stall_intervals.max(1),
-            pending: None,
-        }
-    }
-
-    /// Lands any stalled write that has reached its due interval.
-    fn step(&mut self, machine: &mut Machine) -> Result<()> {
-        if let Some((target, remaining)) = self.pending {
-            if remaining <= 1 {
-                self.pending = None;
-                machine.set_pstate(target)?;
-            } else {
-                self.pending = Some((target, remaining - 1));
-            }
-        }
-        Ok(())
-    }
-
-    /// Applies the governor's write under the interval's actuation fault.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlatformError::ActuationFailed`] (no source) when an
-    /// ignored write exhausts its retries; real platform errors (e.g. an
-    /// out-of-range p-state) propagate unchanged.
-    #[allow(clippy::too_many_arguments)] // one call site, inside the interval loop
-    fn write(
-        &mut self,
-        machine: &mut Machine,
-        target: PStateId,
-        fault: ActuationFault,
-        plan: &mut FaultPlan,
-        now: Seconds,
-        stats: &mut FaultStats,
-        metrics: &Metrics,
-    ) -> Result<()> {
-        match fault {
-            ActuationFault::Intact => {
-                self.pending = None;
-                machine.set_pstate(target)
-            }
-            ActuationFault::Stalled => {
-                stats.actuations_stalled += 1;
-                metrics.inc("actuator.stalled");
-                metrics.event(
-                    now,
-                    EventKind::ActuatorStalled { intervals: self.stall_intervals as u64 },
-                );
-                self.pending = Some((target, self.stall_intervals));
-                Ok(())
-            }
-            ActuationFault::Ignored => {
-                stats.actuations_ignored += 1;
-                metrics.inc("actuator.ignored");
-                metrics.event(now, EventKind::ActuatorIgnored { attempt: 1 });
-                for retry in 0..self.retry_limit {
-                    if !plan.retry_fails(now) {
-                        self.pending = None;
-                        metrics.inc("actuator.recoveries");
-                        metrics.event(
-                            now,
-                            EventKind::ActuatorRecovered { attempts: retry as u64 + 2 },
-                        );
-                        return machine.set_pstate(target);
-                    }
-                    stats.actuations_ignored += 1;
-                    metrics.inc("actuator.ignored");
-                    metrics.event(now, EventKind::ActuatorIgnored { attempt: retry as u64 + 2 });
-                }
-                Err(PlatformError::ActuationFailed {
-                    pstate: target.index(),
-                    attempts: self.retry_limit + 1,
-                    source: None,
-                })
-            }
-        }
-    }
-}
-
 /// The wire name of a command for event records.
 fn command_name(command: GovernorCommand) -> &'static str {
     match command {
@@ -189,24 +100,293 @@ fn command_name(command: GovernorCommand) -> &'static str {
 
 /// How a session holds its governor: borrowed from the caller (the common
 /// case — the caller keeps the governor to inspect its state afterwards)
-/// or owned (built from a [`GovernorSpec`]).
+/// or owned (built from a [`GovernorSpec`]). A transparent layer: the
+/// blanket [`GovernorLayer`] impl forwards the whole surface to it.
 enum GovernorSlot<'a> {
     Borrowed(&'a mut dyn Governor),
     Owned(Box<dyn Governor>),
 }
 
-impl GovernorSlot<'_> {
-    fn get_mut(&mut self) -> &mut dyn Governor {
+impl GovernorLayer for GovernorSlot<'_> {
+    fn layer_name(&self) -> &str {
+        self.inner_governor().name()
+    }
+
+    fn inner_governor(&self) -> &dyn Governor {
+        match self {
+            GovernorSlot::Borrowed(g) => &**g,
+            GovernorSlot::Owned(g) => &**g,
+        }
+    }
+
+    fn inner_governor_mut(&mut self) -> &mut dyn Governor {
         match self {
             GovernorSlot::Borrowed(g) => &mut **g,
             GovernorSlot::Owned(g) => &mut **g,
         }
     }
+}
 
-    fn get(&self) -> &dyn Governor {
-        match self {
-            GovernorSlot::Borrowed(g) => &**g,
-            GovernorSlot::Owned(g) => &**g,
+/// One node's Monitor → Estimate → Control loop, run around a machine tick
+/// it does not own. Before the tick, [`before_tick`](NodeLoop::before_tick)
+/// delivers due commands and queues the caller's arrival window; after it,
+/// [`after_tick`](NodeLoop::after_tick) runs queue sample → fault plan →
+/// DAQ → thermal sensor → PMC → decide/throttle → actuator.
+///
+/// [`Session`] is one machine plus one loop; the fleet controller
+/// ([`crate::cluster::FleetPmController`]) is one loop per fleet lane.
+/// The loop never clones the p-state table: callers pass theirs in.
+pub(crate) struct NodeLoop<G> {
+    /// The governor deciding for this node.
+    pub(crate) governor: G,
+    /// The open-loop source feeding the node's queue (`None` for batch
+    /// work or when the caller queues arrivals itself).
+    pub(crate) source: Option<Box<dyn WorkloadSource>>,
+    /// Scratch buffer for each interval's arrivals (reused across steps).
+    arrivals: Vec<Request>,
+    daq: PowerDaq,
+    pmc: PmcDriver,
+    thermal: ThermalSensor,
+    plan: FaultPlan,
+    /// A stalled p-state write still in flight: `(target, intervals until
+    /// it lands)`.
+    stalled_write: Option<(PStateId, usize)>,
+    stats: FaultStats,
+    metrics: Metrics,
+    /// Scheduled commands, stable-sorted by `at`.
+    commands: Vec<ScheduledCommand>,
+    next_command: usize,
+    /// The most recent power reading actually delivered to the governor;
+    /// a stuck reading repeats this value.
+    last_delivered: Option<Watts>,
+}
+
+impl<G: Governor> std::fmt::Debug for NodeLoop<G> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("NodeLoop").field("governor", &self.governor.name()).finish_non_exhaustive()
+    }
+}
+
+impl<G: Governor> NodeLoop<G> {
+    /// Installs `metrics` into `governor` and builds the node's telemetry
+    /// chain: DAQ and thermal sensor seeded from `config.seed` and a PMC
+    /// driver for the governor's events. `plan` injects the faults.
+    pub(crate) fn new(
+        mut governor: G,
+        config: &SimulationConfig,
+        plan: FaultPlan,
+        mut commands: Vec<ScheduledCommand>,
+        metrics: Metrics,
+    ) -> Self {
+        governor.install_metrics(metrics.clone());
+        commands.sort_by(|a, b| a.at.seconds().total_cmp(&b.at.seconds()));
+        NodeLoop {
+            pmc: PmcDriver::new(governor.events()),
+            governor,
+            source: None,
+            arrivals: Vec::new(),
+            daq: PowerDaq::new(config.daq, config.seed),
+            thermal: ThermalSensor::new(config.thermal_sensor, config.seed),
+            plan,
+            stalled_write: None,
+            stats: FaultStats::default(),
+            metrics,
+            commands,
+            next_command: 0,
+            last_delivered: None,
+        }
+    }
+
+    /// Before the tick: delivers every command due by the interval start
+    /// (the machine's clock, delivery contract on [`Session::step`]), then
+    /// queues the source's arrivals in `[start, end)`. Windows must abut
+    /// exactly (`end` = next `start`), so every arrival is offered once.
+    pub(crate) fn before_tick(&mut self, machine: &mut Machine, start: Seconds, end: Seconds) {
+        let now = machine.elapsed();
+        while self.next_command < self.commands.len() && self.commands[self.next_command].at <= now
+        {
+            let command = self.commands[self.next_command].command;
+            self.governor.command(command);
+            self.metrics.inc("runtime.commands_delivered");
+            self.metrics.event(now, EventKind::CommandDelivered { command: command_name(command) });
+            self.next_command += 1;
+        }
+        if let Some(source) = &mut self.source {
+            source.arrivals_into(start, end, &mut self.arrivals);
+            for request in self.arrivals.drain(..) {
+                machine.offer_request(request);
+            }
+        }
+    }
+
+    /// After the tick: drains the interval's queue sample, draws its
+    /// faults, samples the DAQ, thermal sensor and PMC, asks the governor
+    /// for the next p-state and throttle, and actuates them. `current` is
+    /// the p-state the interval ran at and `interval` its nominal length.
+    /// Returns the DAQ's raw sample and the counter sample the governor
+    /// saw.
+    ///
+    /// # Errors
+    ///
+    /// Propagates real platform errors (invalid p-states from a
+    /// misbehaving governor). Injected actuation losses are absorbed into
+    /// the loop's [`FaultStats`] instead.
+    pub(crate) fn after_tick(
+        &mut self,
+        machine: &mut Machine,
+        table: &PStateTable,
+        current: PStateId,
+        interval: Seconds,
+    ) -> Result<(PowerSample, CounterSample)> {
+        let now = machine.elapsed();
+        let queue = machine.take_queue_sample();
+        if let Some(sample) = &queue {
+            self.metrics.gauge("queue.depth", sample.depth as f64);
+            for &sojourn in &sample.sojourns {
+                self.metrics.observe("request.sojourn_s", sojourn);
+            }
+        }
+        let faults = self.plan.next_interval(now);
+
+        // The DAQ and thermal sensor are sampled unconditionally so their
+        // noise streams stay aligned with a fault-free run; faults corrupt
+        // only what the governor is shown.
+        let power = self.daq.sample(machine);
+        let temperature = self.thermal.read(machine);
+        let counters = if faults.pmc_missed {
+            self.stats.pmc_missed += 1;
+            self.metrics.inc("fault.pmc_missed");
+            self.metrics.event(now, EventKind::FaultInjected { kind: "pmc_missed" });
+            self.pmc.sample_missed(machine, interval)
+        } else {
+            self.pmc.sample(machine)
+        };
+
+        let shown_power: Option<PowerSample> = match faults.power {
+            PowerFault::Intact => {
+                self.last_delivered = Some(power.power);
+                Some(power)
+            }
+            PowerFault::Dropped => {
+                self.stats.power_dropouts += 1;
+                self.metrics.inc("fault.power_dropped");
+                self.metrics.event(now, EventKind::FaultInjected { kind: "power_dropped" });
+                None
+            }
+            PowerFault::Stuck => match self.last_delivered {
+                // Stuck at the last delivered value, stamped with the
+                // current interval.
+                Some(prev) => {
+                    self.stats.power_stuck += 1;
+                    self.metrics.inc("fault.power_stuck");
+                    self.metrics.event(now, EventKind::FaultInjected { kind: "power_stuck" });
+                    Some(PowerSample { power: prev, ..power })
+                }
+                // Nothing to be stuck at yet: indistinguishable from a
+                // normal delivery.
+                None => {
+                    self.last_delivered = Some(power.power);
+                    Some(power)
+                }
+            },
+        };
+        let shown_temperature = if faults.thermal_dropped {
+            self.stats.thermal_dropouts += 1;
+            self.metrics.inc("fault.thermal_dropped");
+            self.metrics.event(now, EventKind::FaultInjected { kind: "thermal_dropped" });
+            None
+        } else {
+            Some(temperature)
+        };
+
+        let ctx = SampleContext {
+            counters: &counters,
+            power: shown_power.as_ref(),
+            temperature: shown_temperature,
+            current,
+            table,
+            queue: queue.as_ref(),
+        };
+        let target = self.governor.decide(&ctx);
+        let throttle = self.governor.throttle_decision(&ctx);
+        self.metrics.inc("runtime.intervals");
+        if target != current {
+            self.metrics.inc("runtime.pstate_changes");
+            self.metrics
+                .event(now, EventKind::Decision { from: current.index(), to: target.index() });
+        }
+
+        self.actuate(machine, target, faults.actuation, now)?;
+        machine.set_throttle(throttle);
+        Ok((power, counters))
+    }
+
+    /// The p-state actuator with injected write faults layered on top,
+    /// modelling an MSR-write path: first lands a stalled write that has
+    /// come due, then applies `target` under `fault`. An ignored write is
+    /// retried in-interval up to the configured limit; on exhaustion the
+    /// loss is absorbed (counted in [`FaultStats::actuation_failures`]) and
+    /// the machine keeps its p-state — the governor simply tries again
+    /// next interval. A stalled write lands `stall_intervals` intervals
+    /// later unless an intact write supersedes it, exactly as a later MSR
+    /// write overrides an earlier one.
+    ///
+    /// # Errors
+    ///
+    /// Propagates real platform errors (e.g. an out-of-range p-state).
+    fn actuate(
+        &mut self,
+        machine: &mut Machine,
+        target: PStateId,
+        fault: ActuationFault,
+        now: Seconds,
+    ) -> Result<()> {
+        if let Some((stalled, remaining)) = self.stalled_write.take() {
+            if remaining <= 1 {
+                machine.set_pstate(stalled)?;
+            } else {
+                self.stalled_write = Some((stalled, remaining - 1));
+            }
+        }
+        let config = *self.plan.config();
+        match fault {
+            ActuationFault::Intact => {
+                self.stalled_write = None;
+                machine.set_pstate(target)
+            }
+            ActuationFault::Stalled => {
+                let intervals = config.stall_intervals.max(1);
+                self.stats.actuations_stalled += 1;
+                self.metrics.inc("actuator.stalled");
+                self.metrics.event(now, EventKind::ActuatorStalled { intervals: intervals as u64 });
+                self.stalled_write = Some((target, intervals));
+                Ok(())
+            }
+            ActuationFault::Ignored => {
+                self.stats.actuations_ignored += 1;
+                self.metrics.inc("actuator.ignored");
+                self.metrics.event(now, EventKind::ActuatorIgnored { attempt: 1 });
+                for retry in 0..config.retry_limit {
+                    if !self.plan.retry_fails(now) {
+                        self.stalled_write = None;
+                        self.metrics.inc("actuator.recoveries");
+                        self.metrics.event(
+                            now,
+                            EventKind::ActuatorRecovered { attempts: retry as u64 + 2 },
+                        );
+                        return machine.set_pstate(target);
+                    }
+                    self.stats.actuations_ignored += 1;
+                    self.metrics.inc("actuator.ignored");
+                    self.metrics
+                        .event(now, EventKind::ActuatorIgnored { attempt: retry as u64 + 2 });
+                }
+                self.stats.actuation_failures += 1;
+                self.metrics.inc("actuator.failures");
+                let attempts = config.retry_limit as u64 + 1;
+                self.metrics.event(now, EventKind::ActuationFailed { attempts });
+                Ok(())
+            }
         }
     }
 }
@@ -327,7 +507,7 @@ impl<'a> SessionBuilder<'a> {
         let SessionBuilder {
             machine_config, source, config, governor, commands, fault_windows, metrics,
         } = self;
-        let Some(mut governor) = governor else {
+        let Some(governor) = governor else {
             return Err(PlatformError::InvalidConfig {
                 parameter: "governor",
                 reason: "a session needs a governor: call .governor(), \
@@ -348,13 +528,10 @@ impl<'a> SessionBuilder<'a> {
         }
         let plan = FaultPlan::with_windows(config.faults, &fault_windows)?;
 
-        governor.get_mut().install_metrics(metrics.clone());
-
         let workload = source.name().to_owned();
-        let open_loop = source.open_loop();
         let table = machine_config.pstates().clone();
         let machine = source.machine(machine_config);
-        if open_loop && !machine.is_serving() {
+        if source.open_loop() && !machine.is_serving() {
             return Err(PlatformError::InvalidConfig {
                 parameter: "source",
                 reason: format!(
@@ -362,36 +539,16 @@ impl<'a> SessionBuilder<'a> {
                 ),
             });
         }
-        let daq = PowerDaq::new(config.daq, config.seed);
-        let pmc = PmcDriver::new(governor.get().events());
-        let thermal = ThermalSensor::new(config.thermal_sensor, config.seed);
-        let actuator = FaultyActuator::new(&config.faults);
-        let trace = RunTrace::new(config.sample_interval);
-
-        let mut pending = commands;
-        pending.sort_by(|a, b| a.at.seconds().total_cmp(&b.at.seconds()));
+        let mut node = NodeLoop::new(governor, &config, plan, commands, metrics);
+        node.source = source.open_loop().then_some(source);
 
         Ok(Session {
             config,
-            governor,
-            source,
-            open_loop,
-            arrivals: Vec::new(),
-            queue_sample: None,
+            node,
             machine,
-            daq,
-            pmc,
-            thermal,
-            actuator,
-            trace,
-            plan,
-            stats: FaultStats::default(),
-            metrics,
+            trace: RunTrace::new(config.sample_interval),
             table,
             workload,
-            pending,
-            next_command: 0,
-            last_delivered: None,
             samples: 0,
         })
     }
@@ -454,29 +611,11 @@ impl<'a> SessionBuilder<'a> {
 #[must_use = "a Session does nothing until stepped or run"]
 pub struct Session<'a> {
     config: SimulationConfig,
-    governor: GovernorSlot<'a>,
-    source: Box<dyn WorkloadSource>,
-    open_loop: bool,
-    /// Scratch buffer for each interval's arrivals (reused across steps).
-    arrivals: Vec<Request>,
-    /// The queue sample drained after the most recent tick (serve mode).
-    queue_sample: Option<QueueSample>,
+    node: NodeLoop<GovernorSlot<'a>>,
     machine: Machine,
-    daq: PowerDaq,
-    pmc: PmcDriver,
-    thermal: ThermalSensor,
-    actuator: FaultyActuator,
     trace: RunTrace,
-    plan: FaultPlan,
-    stats: FaultStats,
-    metrics: Metrics,
     table: PStateTable,
     workload: String,
-    pending: Vec<ScheduledCommand>,
-    next_command: usize,
-    /// The most recent power sample actually delivered to the governor;
-    /// a stuck reading repeats this value.
-    last_delivered: Option<PowerSample>,
     samples: usize,
 }
 
@@ -524,155 +663,24 @@ impl<'a> Session<'a> {
     /// misbehaving governor). Injected actuation losses are absorbed into
     /// the session's [`FaultStats`] instead.
     pub fn step(&mut self) -> Result<SessionStatus> {
-        if self.machine.finished() || self.samples >= self.config.max_samples {
+        if self.done() {
             return Ok(SessionStatus::Finished);
         }
-
-        // Deliver any commands due at or before this interval's start.
-        while self.next_command < self.pending.len()
-            && self.pending[self.next_command].at <= self.machine.elapsed()
-        {
-            let command = self.pending[self.next_command].command;
-            self.governor.get_mut().command(command);
-            self.metrics.inc("runtime.commands_delivered");
-            self.metrics.event(
-                self.machine.elapsed(),
-                EventKind::CommandDelivered { command: command_name(command) },
-            );
-            self.next_command += 1;
-        }
-
-        // Open-loop sources feed the machine's queue with this interval's
-        // arrivals before it ticks. Windows abut exactly ([start, end)
-        // with end = next start), so every arrival is offered once.
-        if self.open_loop {
-            let start = self.machine.elapsed();
-            let end = start + self.config.sample_interval;
-            self.arrivals.clear();
-            self.source.arrivals_into(start, end, &mut self.arrivals);
-            for request in self.arrivals.drain(..) {
-                self.machine.offer_request(request);
-            }
-        }
-
+        let interval = self.config.sample_interval;
+        let start = self.machine.elapsed();
+        self.node.before_tick(&mut self.machine, start, start + interval);
         let interval_pstate = self.machine.pstate();
-        self.machine.tick(self.config.sample_interval);
-        let now = self.machine.elapsed();
-        self.queue_sample = self.machine.take_queue_sample();
-        if let Some(sample) = &self.queue_sample {
-            self.metrics.gauge("queue.depth", sample.depth as f64);
-            for &sojourn in &sample.sojourns {
-                self.metrics.observe("request.sojourn_s", sojourn);
-            }
-        }
-        let faults = self.plan.next_interval(now);
-
-        // The DAQ and thermal sensor are sampled unconditionally so their
-        // noise streams stay aligned with a fault-free run; faults corrupt
-        // only what the governor is shown.
-        let power = self.daq.sample(&self.machine);
-        let temperature = self.thermal.read(&self.machine);
-        let counters = if faults.pmc_missed {
-            self.stats.pmc_missed += 1;
-            self.metrics.inc("fault.pmc_missed");
-            self.metrics.event(now, EventKind::FaultInjected { kind: "pmc_missed" });
-            self.pmc.sample_missed(&self.machine, self.config.sample_interval)
-        } else {
-            self.pmc.sample(&self.machine)
-        };
-
-        let shown_power: Option<PowerSample> = match faults.power {
-            PowerFault::Intact => {
-                self.last_delivered = Some(power);
-                Some(power)
-            }
-            PowerFault::Dropped => {
-                self.stats.power_dropouts += 1;
-                self.metrics.inc("fault.power_dropped");
-                self.metrics.event(now, EventKind::FaultInjected { kind: "power_dropped" });
-                None
-            }
-            PowerFault::Stuck => match self.last_delivered {
-                // Stuck at the last delivered value, stamped with the
-                // current interval.
-                Some(prev) => {
-                    self.stats.power_stuck += 1;
-                    self.metrics.inc("fault.power_stuck");
-                    self.metrics.event(now, EventKind::FaultInjected { kind: "power_stuck" });
-                    Some(PowerSample {
-                        start: power.start,
-                        end: power.end,
-                        power: prev.power,
-                        true_power: power.true_power,
-                    })
-                }
-                // Nothing to be stuck at yet: indistinguishable from a
-                // normal delivery.
-                None => {
-                    self.last_delivered = Some(power);
-                    Some(power)
-                }
-            },
-        };
-        let shown_temperature = if faults.thermal_dropped {
-            self.stats.thermal_dropouts += 1;
-            self.metrics.inc("fault.thermal_dropped");
-            self.metrics.event(now, EventKind::FaultInjected { kind: "thermal_dropped" });
-            None
-        } else {
-            Some(temperature)
-        };
-
-        let ctx = SampleContext {
-            counters: &counters,
-            power: shown_power.as_ref(),
-            temperature: shown_temperature,
-            current: interval_pstate,
-            table: &self.table,
-            queue: self.queue_sample.as_ref(),
-        };
-        let governor = self.governor.get_mut();
-        let target = governor.decide(&ctx);
-        let throttle = governor.throttle_decision(&ctx);
-        self.metrics.inc("runtime.intervals");
-        if target != interval_pstate {
-            self.metrics.inc("runtime.pstate_changes");
-            self.metrics.event(
-                now,
-                EventKind::Decision { from: interval_pstate.index(), to: target.index() },
-            );
-        }
-
-        self.actuator.step(&mut self.machine)?;
-        match self.actuator.write(
-            &mut self.machine,
-            target,
-            faults.actuation,
-            &mut self.plan,
-            now,
-            &mut self.stats,
-            &self.metrics,
-        ) {
-            Ok(()) => {}
-            Err(PlatformError::ActuationFailed { attempts, .. }) => {
-                // Injected loss: the machine keeps its p-state and the
-                // governor retries from fresh telemetry next interval.
-                self.stats.actuation_failures += 1;
-                self.metrics.inc("actuator.failures");
-                self.metrics.event(now, EventKind::ActuationFailed { attempts: attempts as u64 });
-            }
-            Err(other) => return Err(other),
-        }
-        self.machine.set_throttle(throttle);
-
+        self.machine.tick(interval);
+        let (power, counters) =
+            self.node.after_tick(&mut self.machine, &self.table, interval_pstate, interval)?;
         self.trace.push_sample(&power, interval_pstate, counters.ipc(), counters.dpc());
         self.samples += 1;
+        Ok(if self.done() { SessionStatus::Finished } else { SessionStatus::Running })
+    }
 
-        Ok(if self.machine.finished() || self.samples >= self.config.max_samples {
-            SessionStatus::Finished
-        } else {
-            SessionStatus::Running
-        })
+    /// Whether the program completed or the sample cap was reached.
+    fn done(&self) -> bool {
+        self.machine.finished() || self.samples >= self.config.max_samples
     }
 
     /// Steps until finished, then produces the report.
@@ -710,24 +718,25 @@ impl<'a> Session<'a> {
             }
         });
         if let Some(summary) = &requests {
-            self.metrics.gauge("serve.requests_arrived", summary.arrived as f64);
-            self.metrics.gauge("serve.requests_completed", summary.completed as f64);
-            self.metrics.gauge("serve.requests_pending", summary.pending as f64);
-            self.metrics.gauge("serve.energy_per_request_j", summary.energy_per_request.joules());
+            let metrics = &self.node.metrics;
+            metrics.gauge("serve.requests_arrived", summary.arrived as f64);
+            metrics.gauge("serve.requests_completed", summary.completed as f64);
+            metrics.gauge("serve.requests_pending", summary.pending as f64);
+            metrics.gauge("serve.energy_per_request_j", summary.energy_per_request.joules());
         }
         let report = RunReport {
             workload: self.workload,
-            governor: self.governor.get().name().to_owned(),
+            governor: self.node.governor.name().to_owned(),
             execution_time,
             measured_energy: self.trace.measured_energy(),
             true_energy: self.machine.true_energy(),
             transitions: self.machine.transitions_performed(),
             completed,
             trace: self.trace,
-            metrics: self.metrics.snapshot(),
+            metrics: self.node.metrics.snapshot(),
             requests,
         };
-        (report, self.stats)
+        (report, self.node.stats)
     }
 
     /// Simulated time elapsed so far.
@@ -757,7 +766,7 @@ impl<'a> Session<'a> {
 
     /// The governor's report name.
     pub fn governor_name(&self) -> &str {
-        self.governor.get().name()
+        self.node.governor.name()
     }
 }
 
@@ -1236,5 +1245,58 @@ mod tests {
         );
         assert!(!report.completed);
         assert_eq!(report.trace.len(), 10);
+    }
+
+    /// There is one control loop: a one-node fleet stepped every 10 ms
+    /// under a uniform PM cap and a PM session at the same cap, on the same
+    /// machine seed and program over the same horizon, end bit-identical.
+    #[test]
+    fn one_node_fleet_and_pm_session_step_the_same_loop() {
+        use crate::cluster::FleetPmController;
+        use aapm_platform::fleet::{CohortMode, Fleet};
+
+        const CAP_W: f64 = 11.0;
+        const HORIZON: u64 = 400;
+        let compute = PhaseDescriptor::builder("compute")
+            .instructions(2_000_000_000)
+            .core_cpi(0.7)
+            .build()
+            .unwrap();
+        let memory = PhaseDescriptor::builder("memory")
+            .instructions(20_000_000_000)
+            .core_cpi(1.1)
+            .mem_fraction(0.5)
+            .l1_mpi(0.04)
+            .l2_mpi(0.005)
+            .build()
+            .unwrap();
+        let program = PhaseProgram::new("two-phase", vec![compute, memory]).unwrap();
+        let (model, table) = (PowerModel::paper_table_ii(), PStateTable::pentium_m_755());
+
+        let mut fleet = Fleet::new(Seconds::from_millis(10.0));
+        let node = Machine::new(MachineConfig::pentium_m_755(3), program.clone());
+        fleet.add_cohort(vec![node], CohortMode::Governed { cadence_ticks: 1 }).unwrap();
+        let mut controller = FleetPmController::uniform(table, &model, vec![CAP_W]).unwrap();
+        fleet.run_des(HORIZON, 0, &mut controller).unwrap();
+
+        let mut pm = limited_pm(CAP_W);
+        let config =
+            SimulationConfig { max_samples: HORIZON as usize, ..SimulationConfig::default() };
+        let mut session = Session::builder(MachineConfig::pentium_m_755(3), program)
+            .config(config)
+            .governor(&mut pm)
+            .build()
+            .unwrap();
+        while session.step().unwrap().is_running() {}
+
+        let lane = fleet.machine(0, 0);
+        let machine = &session.machine;
+        assert!(!machine.finished(), "the horizon ends before the program");
+        assert!(machine.transitions_performed() > 1, "PM must move the p-state");
+        assert_eq!(fleet.energy(0, 0).joules().to_bits(), machine.true_energy().joules().to_bits());
+        assert_eq!(fleet.elapsed(0, 0).seconds().to_bits(), machine.elapsed().seconds().to_bits());
+        assert_eq!(fleet.counter_snapshot(0, 0), machine.counter_snapshot());
+        assert_eq!(lane.transitions_performed(), machine.transitions_performed());
+        assert_eq!(lane.pstate(), machine.pstate());
     }
 }

@@ -32,23 +32,20 @@
 
 use aapm::baselines::{StaticClock, Unconstrained};
 use aapm::cluster::{BudgetTree, ClusterGovernor, FleetPmController, NodeSpec, RackSpec};
-use aapm::governor::{Governor, GovernorCommand, SampleContext};
+use aapm::governor::{Governor, SampleContext};
+use aapm::layer::GovernorLayer;
 use aapm::limits::PowerLimit;
 use aapm::runtime::{Session, SimulationConfig};
 use aapm::slo_save::{SloSave, SloSaveConfig};
 use aapm_platform::config::MachineConfig;
 use aapm_platform::error::Result;
-use aapm_platform::events::HardwareEvent;
-use aapm_platform::fleet::{CohortId, CohortMode, Fleet, FleetController};
+use aapm_platform::fleet::{CohortMode, Fleet};
 use aapm_platform::phase::PhaseDescriptor;
 use aapm_platform::program::PhaseProgram;
 use aapm_platform::pstate::{PStateId, PStateTable};
-use aapm_platform::requests::Request;
-use aapm_platform::throttle::ThrottleLevel;
 use aapm_platform::units::Seconds;
 use aapm_platform::workload::WorkloadSource;
 use aapm_platform::Machine;
-use aapm_telemetry::metrics::Metrics;
 use aapm_telemetry::window::MovingWindow;
 use aapm_workloads::requests::RequestWorkload;
 
@@ -129,16 +126,20 @@ impl SloMeter {
     }
 }
 
-impl Governor for SloMeter {
-    fn name(&self) -> &str {
+impl GovernorLayer for SloMeter {
+    fn layer_name(&self) -> &str {
         self.inner.name()
     }
 
-    fn events(&self) -> Vec<HardwareEvent> {
-        self.inner.events()
+    fn inner_governor(&self) -> &dyn Governor {
+        &*self.inner
     }
 
-    fn decide(&mut self, ctx: &SampleContext<'_>) -> PStateId {
+    fn inner_governor_mut(&mut self) -> &mut dyn Governor {
+        &mut *self.inner
+    }
+
+    fn layer_decide(&mut self, ctx: &SampleContext<'_>) -> PStateId {
         if let Some(sample) = ctx.queue {
             for &sojourn in &sample.sojourns {
                 self.sojourns.push(sojourn);
@@ -154,18 +155,6 @@ impl Governor for SloMeter {
             }
         }
         self.inner.decide(ctx)
-    }
-
-    fn throttle_decision(&mut self, ctx: &SampleContext<'_>) -> ThrottleLevel {
-        self.inner.throttle_decision(ctx)
-    }
-
-    fn command(&mut self, command: GovernorCommand) {
-        self.inner.command(command);
-    }
-
-    fn install_metrics(&mut self, metrics: Metrics) {
-        self.inner.install_metrics(metrics);
     }
 }
 
@@ -400,86 +389,12 @@ fn fleet_racks() -> Vec<RackSpec> {
         .collect()
 }
 
-/// Feeds the serve cohort's arrival streams one cadence window ahead of
-/// its clock, then delegates every control decision to the wrapped
-/// [`FleetPmController`] — the request family rides the PR 9 cluster
-/// governor unchanged.
-pub struct ServeFeeder {
-    inner: FleetPmController,
-    serve_cohort: CohortId,
-    cadence_ticks: u64,
-    streams: Vec<RequestWorkload>,
-    fed_ticks: u64,
-    scratch: Vec<Request>,
-    offered: u64,
-}
-
-impl ServeFeeder {
-    /// Wraps `inner`; `streams` holds one arrival stream per serve lane.
-    pub fn new(inner: FleetPmController, serve_cohort: CohortId, streams: Vec<RequestWorkload>) -> Self {
-        ServeFeeder {
-            inner,
-            serve_cohort,
-            cadence_ticks: FLEET_CADENCE_TICKS,
-            streams,
-            fed_ticks: 0,
-            scratch: Vec::new(),
-            offered: 0,
-        }
-    }
-
-    /// Requests offered to the fleet so far (the conservation check's
-    /// left-hand side).
-    pub fn offered(&self) -> u64 {
-        self.offered
-    }
-
-    /// The wrapped controller.
-    pub fn inner(&self) -> &FleetPmController {
-        &self.inner
-    }
-
-    /// Queues every arrival in `[fed, upto_ticks)` onto its lane. Must run
-    /// once for the first window *before* `run_des` (the first cohort step
-    /// callback fires after that window is already served).
-    pub fn feed(&mut self, fleet: &mut Fleet, upto_ticks: u64) {
-        if upto_ticks <= self.fed_ticks {
-            return;
-        }
-        let start = fleet.time_at(self.fed_ticks);
-        let end = fleet.time_at(upto_ticks);
-        for lane in 0..self.streams.len() {
-            self.scratch.clear();
-            self.streams[lane].arrivals_into(start, end, &mut self.scratch);
-            self.offered += self.scratch.len() as u64;
-            for request in self.scratch.drain(..) {
-                fleet.offer_request(self.serve_cohort, lane, request);
-            }
-        }
-        self.fed_ticks = upto_ticks;
-    }
-}
-
-impl FleetController for ServeFeeder {
-    fn cohort_stepped(&mut self, fleet: &mut Fleet, cohort: CohortId, now_ticks: u64) -> Result<()> {
-        if cohort == self.serve_cohort {
-            self.feed(fleet, now_ticks + self.cadence_ticks);
-        }
-        self.inner.cohort_stepped(fleet, cohort, now_ticks)
-    }
-
-    fn governor_tick(&mut self, fleet: &mut Fleet, now_ticks: u64) -> Result<()> {
-        self.inner.governor_tick(fleet, now_ticks)
-    }
-}
-
 /// One fleet arm's day.
 #[derive(Debug, Clone)]
 pub struct FleetArmStats {
     /// Arm label.
     pub arm: &'static str,
-    /// Requests offered by the feeder / arrived at queues (equal by
-    /// conservation).
+    /// Requests the node loops offered to the serve lanes' queues.
     pub offered: u64,
     /// Requests completed across the serve rack.
     pub completed: u64,
@@ -495,14 +410,13 @@ pub struct FleetArmStats {
     pub reallocations: u64,
 }
 
-fn run_fleet_arm(arm: &'static str, controller: FleetPmController) -> Result<FleetArmStats> {
+fn run_fleet_arm(arm: &'static str, mut controller: FleetPmController) -> Result<FleetArmStats> {
     let base = fleet_workload()?;
     let streams: Vec<RequestWorkload> =
         (0..FLEET_NODES_PER_RACK).map(|lane| base.reseeded(1_000 + lane as u64)).collect();
     let mut fleet = build_serve_fleet(&streams)?;
-    let mut feeder = ServeFeeder::new(controller, 0, streams);
-    feeder.feed(&mut fleet, FLEET_CADENCE_TICKS);
-    fleet.run_des(FLEET_HORIZON_TICKS, FLEET_GOVERNOR_EVERY_TICKS, &mut feeder)?;
+    controller.feed(&mut fleet, 0, streams)?;
+    fleet.run_des(FLEET_HORIZON_TICKS, FLEET_GOVERNOR_EVERY_TICKS, &mut controller)?;
 
     let mut arrived = 0u64;
     let mut completed = 0u64;
@@ -522,19 +436,15 @@ fn run_fleet_arm(arm: &'static str, controller: FleetPmController) -> Result<Fle
         sojourn_s += queue.total_sojourn();
         serve_energy_j += fleet.energy(0, lane).joules();
     }
-    assert_eq!(arrived, feeder.offered(), "every offered request must reach a queue");
     Ok(FleetArmStats {
         arm,
-        offered: feeder.offered(),
+        offered: arrived,
         completed,
         backlog,
         serve_energy_j,
         energy_per_request_j: if completed > 0 { serve_energy_j / completed as f64 } else { 0.0 },
         mean_sojourn_ms: if completed > 0 { sojourn_s / completed as f64 * 1e3 } else { 0.0 },
-        reallocations: feeder
-            .inner()
-            .cluster()
-            .map_or(0, aapm::cluster::ClusterGovernor::reallocations),
+        reallocations: controller.cluster().map_or(0, ClusterGovernor::reallocations),
     })
 }
 

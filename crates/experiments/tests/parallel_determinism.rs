@@ -117,17 +117,26 @@ fn observer_outputs_are_byte_identical_across_widths() {
     let _ = std::fs::remove_dir_all(&temp);
 }
 
-/// The serve experiment — open-loop arrivals, the SLO governor, and the
-/// fleet spike stage — must render byte-identically at any pool width:
-/// every arrival stream is owned by exactly one cell, so the fan-out
-/// must not perturb a single draw.
+/// The experiments whose cells own stateful simulations must render
+/// byte-identically at pool widths 1 and 2 — the tables and notes the CLI
+/// prints for `--jobs 1` and `--jobs 2`:
+///
+/// * `serve` — open-loop arrivals, the SLO governor and the fleet spike
+///   stage: every arrival stream is owned by exactly one cell, so the
+///   fan-out must not perturb a single draw;
+/// * `fleet` — per-arm fleets and controllers live inside each cell, so
+///   pool width must not leak into the discrete-event schedule or the
+///   budget-tree arithmetic;
+/// * `adaptive` — the refit layer's RLS state lives inside each cell.
 #[test]
 fn serve_output_is_byte_identical_across_widths() {
-    assert_eq!(
-        rendered(&Pool::new(1), "serve"),
-        rendered(&Pool::new(2), "serve"),
-        "`serve` must not depend on pool width"
-    );
+    for id in ["serve", "fleet", "adaptive"] {
+        assert_eq!(
+            rendered(&Pool::new(1), id),
+            rendered(&Pool::new(2), id),
+            "`{id}` must not depend on pool width"
+        );
+    }
 }
 
 #[test]

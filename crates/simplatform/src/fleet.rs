@@ -16,8 +16,9 @@
 //! Control policy lives outside this crate: a [`FleetController`] gets a
 //! callback after every cohort step (the per-node governor cadence) and at
 //! a global governor cadence (the cluster-reallocation point), and may
-//! read per-lane SoA state and actuate p-states through the fleet. The
-//! cluster-governor layer in `aapm-core` implements it.
+//! read per-lane SoA state and drive a lane's machine through a synced
+//! guard ([`Fleet::lane_mut`]). The cluster-governor layer in `aapm-core`
+//! implements it, running one node control loop per lane.
 //!
 //! Determinism contract: [`Fleet::run_des`] is **byte-identical** to
 //! [`Fleet::run_lockstep`], the naive engine that scalar-ticks every
@@ -37,7 +38,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::batch::MachineBatch;
+use crate::batch::{LaneGuard, MachineBatch};
 use crate::counters::CounterSnapshot;
 use crate::error::{PlatformError, Result};
 use crate::machine::Machine;
@@ -236,6 +237,14 @@ impl Fleet {
     /// [`MachineBatch::lane`]).
     pub fn machine(&self, cohort: CohortId, lane: usize) -> &Machine {
         self.cohorts[cohort].batch.lane(lane)
+    }
+
+    /// Exclusive access to one lane's machine, synced on entry and loaded
+    /// back into the SoA arrays when the guard drops (see
+    /// [`MachineBatch::lane_mut`]) — the path a controller's per-node
+    /// control loop samples and actuates through.
+    pub fn lane_mut(&mut self, cohort: CohortId, lane: usize) -> LaneGuard<'_> {
+        self.cohorts[cohort].batch.lane_mut(lane)
     }
 
     /// A lane's cumulative counters, read from the SoA arrays.

@@ -286,7 +286,8 @@ pub struct FaultStats {
     /// `set_pstate` writes that stalled.
     pub actuations_stalled: u64,
     /// Intervals where every retry of a write failed and the runtime
-    /// absorbed an `ActuationFailed` error instead of propagating it.
+    /// absorbed the loss (the machine kept its p-state) instead of failing
+    /// the run.
     pub actuation_failures: u64,
 }
 

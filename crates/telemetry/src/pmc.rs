@@ -204,19 +204,14 @@ impl PmcDriver {
             self.last_snapshot.get(HardwareEvent::Cycles),
         );
 
-        // Which requested events occupy the two slots this interval?
-        let scheduled: Vec<HardwareEvent> = if self.is_multiplexing() {
-            (0..PROGRAMMABLE_COUNTERS)
-                .map(|k| self.requested[(self.rotation_offset + k) % self.requested.len()])
-                .collect()
-        } else {
-            self.requested.clone()
-        };
-
-        let mut counts = Vec::with_capacity(self.requested.len());
-        let requested = self.requested.clone();
-        for event in requested {
-            if scheduled.contains(&event) {
+        let n = self.requested.len();
+        let multiplexing = self.is_multiplexing();
+        let mut counts = Vec::with_capacity(n);
+        for slot in 0..n {
+            let event = self.requested[slot];
+            // The two programmable counters hold the events at rotation
+            // offsets 0 and 1 this interval (every event when they fit).
+            if !multiplexing || (slot + n - self.rotation_offset) % n < PROGRAMMABLE_COUNTERS {
                 let count = wrapped_delta(snapshot.get(event), self.last_snapshot.get(event));
                 let rate = if cycles > 0.0 { count / cycles } else { 0.0 };
                 self.record_rate(event, rate);
@@ -228,9 +223,8 @@ impl PmcDriver {
             }
         }
 
-        if self.is_multiplexing() {
-            self.rotation_offset =
-                (self.rotation_offset + PROGRAMMABLE_COUNTERS) % self.requested.len();
+        if multiplexing {
+            self.rotation_offset = (self.rotation_offset + PROGRAMMABLE_COUNTERS) % n;
         }
         self.last_snapshot = snapshot;
         self.last_time = now;

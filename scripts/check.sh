@@ -82,42 +82,6 @@ fi
 rm -f results/corpus-replay.jobs*.txt
 echo "corpus gate: ${fixtures} fixtures replayed byte-identically at --jobs 1/2/8"
 
-# Adaptive-refit smoke: the static-vs-adaptive comparison must run on a
-# 2-wide pool and agree byte for byte with the serial run (the refit
-# layer's RLS state lives inside each cell, so pool width must not leak
-# into the results).
-cargo run --release --offline -p aapm-experiments -- adaptive --jobs 1 \
-    > results/adaptive.jobs1.txt
-cargo run --release --offline -p aapm-experiments -- adaptive --jobs 2 \
-    > results/adaptive.jobs2.txt
-cmp results/adaptive.jobs1.txt results/adaptive.jobs2.txt
-rm -f results/adaptive.jobs*.txt
-echo "adaptive gate: static-vs-adaptive experiment byte-identical at --jobs 1/2"
-
-# Fleet smoke: the hierarchical-vs-uniform fleet experiment must run on a
-# 2-wide pool and agree byte for byte with the serial run (per-arm fleets
-# and controllers live inside each cell, so pool width must not leak into
-# the discrete-event schedule or the budget-tree arithmetic).
-cargo run --release --offline -p aapm-experiments -- fleet --jobs 1 \
-    > results/fleet.jobs1.txt
-cargo run --release --offline -p aapm-experiments -- fleet --jobs 2 \
-    > results/fleet.jobs2.txt
-cmp results/fleet.jobs1.txt results/fleet.jobs2.txt
-rm -f results/fleet.jobs*.txt
-echo "fleet gate: hierarchical-vs-uniform experiment byte-identical at --jobs 1/2"
-
-# Serve smoke: the open-loop SLO-governor experiment must run on a 2-wide
-# pool and agree byte for byte with the serial run (each arm owns its
-# arrival streams and meter, so pool width must not perturb one draw of
-# the request processes or the fleet spike stage).
-cargo run --release --offline -p aapm-experiments -- serve --jobs 1 \
-    > results/serve.jobs1.txt
-cargo run --release --offline -p aapm-experiments -- serve --jobs 2 \
-    > results/serve.jobs2.txt
-cmp results/serve.jobs1.txt results/serve.jobs2.txt
-rm -f results/serve.jobs*.txt
-echo "serve gate: slo-save-vs-static-cap experiment byte-identical at --jobs 1/2"
-
 # Fuzz smoke: a fixed-seed sweep through the property oracles. Findings
 # (cap/floor, the paper-expected model-deception violations) are reported
 # but tolerated; any universal failure — panic, non-finite metric,
