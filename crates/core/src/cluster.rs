@@ -226,11 +226,6 @@ impl BudgetTree {
         self.racks.iter().map(|r| r.nodes.len()).sum()
     }
 
-    /// Number of racks.
-    pub fn rack_count(&self) -> usize {
-        self.racks.len()
-    }
-
     /// The datacenter-level budget.
     pub fn datacenter_w(&self) -> f64 {
         self.datacenter_w
@@ -652,12 +647,9 @@ impl FleetPmController {
     /// # Errors
     ///
     /// Rejects a fleet whose node count differs from the controller's, a
-    /// fast-forward cohort, and a stream count other than the cohort's
-    /// lane count.
-    ///
-    /// # Panics
-    ///
-    /// As [`Fleet::offer_request`]: panics if a lane is a batch machine.
+    /// fast-forward cohort, a cohort with a batch (program) lane, and a
+    /// stream count other than the cohort's lane count — before any lane
+    /// is fed.
     pub fn feed<S: WorkloadSource + 'static>(
         &mut self,
         fleet: &mut Fleet,
@@ -675,12 +667,18 @@ impl FleetPmController {
                 streams.len()
             )));
         }
+        let serves = |lane: usize| fleet.queue(cohort, lane).is_some();
+        if let Some(lane) = (0..fleet.lanes(cohort)).find(|&lane| !serves(lane)) {
+            return Err(invalid(format!(
+                "cohort {cohort} lane {lane} runs a program and takes no arrivals"
+            )));
+        }
         let (start, end) = (fleet.time_at(0), fleet.time_at(cadence_ticks));
         let offset = fleet.node_offset(cohort);
         for (lane, stream) in streams.into_iter().enumerate() {
             let node = &mut self.nodes[offset + lane];
             node.source = Some(Box::new(stream));
-            node.before_tick(&mut fleet.lane_mut(cohort, lane), start, end);
+            node.before_tick(fleet.machine_mut(cohort, lane), start, end);
         }
         Ok(())
     }
@@ -759,10 +757,10 @@ impl FleetController for FleetPmController {
                     self.violation_windows += 1;
                 }
                 let node_loop = &mut self.nodes[node];
-                let mut machine = fleet.lane_mut(cohort, lane);
+                let machine = fleet.machine_mut(cohort, lane);
                 let current = machine.pstate();
-                node_loop.after_tick(&mut machine, &self.table, current, interval)?;
-                node_loop.before_tick(&mut machine, now, next);
+                node_loop.after_tick(machine, &self.table, current, interval)?;
+                node_loop.before_tick(machine, now, next);
                 // A throttled node's deficit is negative headroom: its
                 // demand rises above the current cap by exactly what the
                 // next p-state up would cost, so slack reclaimed elsewhere
@@ -1080,6 +1078,37 @@ mod tests {
         }
     }
 
+    /// Arrivals go to serve lanes only: a cohort holding a program lane is
+    /// rejected before any of its lanes gets a source, instead of
+    /// panicking in `Machine::offer_request` inside `feed` or mid-run.
+    #[test]
+    fn feeding_a_cohort_with_a_program_lane_is_rejected() {
+        let mut family = RequestWorkload::builder("fed");
+        family.seed(5).day(Seconds::new(4.0)).rates(80.0, 160.0);
+        let family = family.build().unwrap();
+        let phase = PhaseDescriptor::builder("program-lane").instructions(1_000_000_000).build();
+        let program =
+            Machine::new(MachineConfig::pentium_m_755(1), PhaseProgram::from_phase(phase.unwrap()));
+        // A serve lane ahead of the program lane, then an all-program cohort.
+        let mut mixed = Fleet::new(Seconds::from_millis(10.0));
+        let lanes = vec![family.machine(MachineConfig::pentium_m_755(0)), program];
+        mixed.add_cohort(lanes, CohortMode::Governed { cadence_ticks: 10 }).unwrap();
+        for mut fleet in [mixed, batch_fleet(2)] {
+            let (table, model) = (PStateTable::pentium_m_755(), PowerModel::paper_table_ii());
+            let mut controller = FleetPmController::uniform(table, &model, vec![14.0; 2]).unwrap();
+            let streams: Vec<RequestWorkload> = (0..2).map(|lane| family.reseeded(lane)).collect();
+            let err = controller.feed(&mut fleet, 0, streams).unwrap_err();
+            assert!(
+                matches!(err, PlatformError::InvalidConfig { parameter: "cluster", .. }),
+                "{err}"
+            );
+            assert!(controller.nodes.iter().all(|node| node.source.is_none()), "no lane was fed");
+            assert_eq!(fleet.queue(0, 0).map_or(0, |queue| queue.arrived()), 0);
+            // Unfed, the run steps every lane without offering anything.
+            fleet.run_des(100, 50, &mut controller).unwrap();
+        }
+    }
+
     /// Serve lanes under the controller have their completions drained
     /// every window, the way a session drains them, so a lane's queue
     /// holds only the sojourns of the window since its last decision —
@@ -1104,7 +1133,7 @@ mod tests {
 
         let dt = fleet.cohort_dt(0);
         for lane in 0..2 {
-            let mut machine = fleet.lane_mut(0, lane);
+            let machine = fleet.machine_mut(0, lane);
             let before = machine.queue().unwrap().completed();
             // One more window: the node loop queued its arrivals already.
             machine.tick(dt);

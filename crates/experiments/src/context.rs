@@ -87,16 +87,6 @@ impl ExperimentContext {
         PerfModel::new(PerfModelParams::paper())
     }
 
-    /// A performance model with the paper's alternate exponent (0.59).
-    pub fn perf_model_alternate(&self) -> PerfModel {
-        PerfModel::new(PerfModelParams::paper_alternate())
-    }
-
-    /// A performance model with the parameters trained on this platform.
-    pub fn perf_model_trained(&self) -> PerfModel {
-        PerfModel::new(self.perf_fit.params)
-    }
-
     /// The raw training data (for the Table II experiment's error columns).
     pub fn training(&self) -> &TrainingData {
         &self.training

@@ -152,11 +152,6 @@ impl Pool {
         Pool::new(1)
     }
 
-    /// A pool sized to the host's available parallelism (1 if unknown).
-    pub fn default_parallel() -> Self {
-        Pool::new(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
-    }
-
     /// Configured parallelism.
     pub fn jobs(&self) -> usize {
         self.inner.jobs

@@ -8,11 +8,8 @@
 //! [`median_run`] fans its seed runs out over a [`Pool`]: every seed builds
 //! a fresh `Machine`, DAQ, and governor, so the cells are fully isolated
 //! and their results are merged in deterministic submission order.
-//! [`worst_case_power_curve`] instead groups its eight ungoverned
-//! same-program/same-cadence p-state cells into a single [`MachineBatch`]
-//! and steps them in lockstep — governed runs cannot batch (the governor
-//! couples each lane's control decisions to its own observations), so only
-//! the ungoverned curve takes the batched path.
+//! [`worst_case_power_curve`] instead runs its eight short ungoverned
+//! p-state cells as one pool cell.
 
 use aapm::governor::Governor;
 use aapm::limits::PowerLimit;
@@ -20,7 +17,6 @@ use aapm::report::RunReport;
 use aapm::runtime::{ScheduledCommand, Session, SimulationConfig};
 use aapm::spec::{GovernorSpec, SpecModels};
 use aapm_telemetry::metrics::Metrics;
-use aapm_platform::batch::MachineBatch;
 use aapm_platform::error::{PlatformError, Result};
 use aapm_platform::machine::Machine;
 use aapm_platform::program::PhaseProgram;
@@ -165,11 +161,8 @@ fn select_median(mut reports: Vec<RunReport>) -> Result<RunReport> {
 /// mean measured power over a window of settled 10 ms samples.
 ///
 /// All eight p-state cells run the same program at the same 10 ms cadence
-/// with no governor, so they batch: one [`MachineBatch`] steps the lanes in
-/// lockstep as a single pool cell. Each lane's tick/sample sequence is
-/// exactly the scalar per-cell loop's (the batch is bit-identical to solo
-/// stepping, and each lane's DAQ draws from its own noise stream), so the
-/// curve matches the old fanned-out implementation byte for byte.
+/// with no governor, as one pool cell that ticks and samples each machine
+/// in turn; each machine's DAQ draws from its own noise stream.
 ///
 /// # Errors
 ///
@@ -179,43 +172,32 @@ pub fn worst_case_power_curve(pool: &Pool, table: &PStateTable) -> Result<Vec<(M
         characterize_with_budget(MicroLoop::Fma, Footprint::L2, 4_000_000_000)?;
     let fma = &fma;
     let cell = move || -> Result<Vec<(MegaHertz, Watts)>> {
-        let mut frequencies = Vec::new();
-        let mut machines = Vec::new();
-        let mut daqs = Vec::new();
+        let tick = Seconds::from_millis(10.0);
+        let samples = 50;
+        let mut curve = Vec::new();
         for (pstate, state) in table.iter() {
-            frequencies.push(state.frequency());
             let machine_config = {
                 let mut b = MachineConfig::builder();
                 b.pstates(table.clone()).initial_pstate(pstate).seed(0xFA_256);
                 b.build()?
             };
-            machines.push(Machine::new(machine_config, fma.program()));
-            daqs.push(PowerDaq::new(DaqConfig::default(), 0xFA_256 ^ pstate.index() as u64));
-        }
-        let mut batch = MachineBatch::new(machines);
-        let tick = Seconds::from_millis(10.0);
-        // Settle, then average 50 samples per lane.
-        for _ in 0..5 {
-            batch.tick_all(tick);
-            for (lane, daq) in daqs.iter_mut().enumerate() {
-                let _ = daq.sample(batch.sync_lane(lane));
+            let mut machine = Machine::new(machine_config, fma.program());
+            let mut daq = PowerDaq::new(DaqConfig::default(), 0xFA_256 ^ pstate.index() as u64);
+            // Settle, then average 50 samples.
+            for _ in 0..5 {
+                machine.tick(tick);
+                let _ = daq.sample(&machine);
             }
-        }
-        let samples = 50;
-        let mut sums = vec![0.0; daqs.len()];
-        for _ in 0..samples {
-            batch.tick_all(tick);
-            for (lane, daq) in daqs.iter_mut().enumerate() {
-                sums[lane] += daq.sample(batch.sync_lane(lane)).power.watts();
+            let mut sum = 0.0;
+            for _ in 0..samples {
+                machine.tick(tick);
+                sum += daq.sample(&machine).power.watts();
             }
+            curve.push((state.frequency(), Watts::new(sum / f64::from(samples))));
         }
-        Ok(frequencies
-            .into_iter()
-            .zip(sums)
-            .map(|(frequency, sum)| (frequency, Watts::new(sum / f64::from(samples))))
-            .collect())
+        Ok(curve)
     };
-    pool.run(vec![cell]).into_iter().next().expect("one batched cell was submitted")
+    pool.run(vec![cell]).into_iter().next().expect("one cell was submitted")
 }
 
 /// Derives the static-clocking frequency for each power limit (our

@@ -6,9 +6,12 @@
 //! `--jobs 1`. These tests train one context and replay a representative
 //! slice of the suite at both widths: a plain per-benchmark fan-out
 //! (fig2), a pooled measurement curve reused by two tables (tab3/tab4),
-//! and a nested `median_run` fan under an outer fan (fig5).
+//! and a nested `median_run` fan under an outer fan (fig5). One more test
+//! runs the whole suite and checks it against the committed
+//! `results/*.csv`.
 
-use aapm_experiments::{run_by_id, ExperimentContext, Pool, RunObserver};
+use aapm_experiments::{run_by_id, run_suite, ExperimentContext, Pool, RunObserver};
+use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 fn ctx() -> &'static ExperimentContext {
@@ -135,6 +138,49 @@ fn serve_output_is_byte_identical_across_widths() {
             rendered(&Pool::new(1), id),
             rendered(&Pool::new(2), id),
             "`{id}` must not depend on pool width"
+        );
+    }
+}
+
+/// The committed-CSV gate: the full suite on a 2-wide pool renders every
+/// table as the `<id>_<name>.csv` that `all --csv results/` writes, and
+/// those files must be exactly the committed `results/*.csv` — the same
+/// names (no CSV dropped, none left uncommitted) and the same bytes.
+#[test]
+fn suite_reproduces_every_committed_csv() {
+    let outputs = run_suite(ctx(), &Pool::new(2)).expect("the suite runs");
+    let mut produced: Vec<(String, String)> = outputs
+        .iter()
+        .flat_map(|output| {
+            output
+                .tables
+                .iter()
+                .map(|(name, table)| (format!("{}_{name}.csv", output.id), table.to_csv()))
+        })
+        .collect();
+    produced.sort();
+
+    let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let mut committed: Vec<(String, String)> = std::fs::read_dir(&results)
+        .expect("results/ is readable")
+        .map(|entry| entry.expect("results/ entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "csv"))
+        .map(|path| {
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            let body = std::fs::read_to_string(&path).expect("committed CSV is readable");
+            (name, body)
+        })
+        .collect();
+    committed.sort();
+
+    let names = |files: &[(String, String)]| -> Vec<String> {
+        files.iter().map(|(name, _)| name.clone()).collect()
+    };
+    assert_eq!(names(&produced), names(&committed), "produced vs committed CSV names");
+    for ((name, body), (_, committed_body)) in produced.iter().zip(&committed) {
+        assert!(
+            body == committed_body,
+            "{name} differs from results/{name}; `all --csv results/` and `git diff` show how"
         );
     }
 }

@@ -54,25 +54,6 @@ pub struct SegmentSpec {
 }
 
 impl SegmentSpec {
-    /// Captures a platform phase as a serializable segment.
-    pub fn from_phase(phase: &PhaseDescriptor) -> SegmentSpec {
-        SegmentSpec {
-            name: phase.name().to_owned(),
-            instructions: phase.instructions(),
-            core_cpi: phase.core_cpi(),
-            decode_ratio: phase.decode_ratio(),
-            fp_fraction: phase.fp_fraction(),
-            mem_fraction: phase.mem_fraction(),
-            l1_mpi: phase.l1_mpi(),
-            l2_mpi: phase.l2_mpi(),
-            overlap: phase.overlap(),
-            activity: phase.activity(),
-            branch_fraction: phase.branch_fraction(),
-            mispredict_rate: phase.mispredict_rate(),
-            prefetch_per_inst: phase.prefetch_per_inst(),
-        }
-    }
-
     /// Builds the platform phase, re-running all phase validation.
     ///
     /// # Errors
@@ -106,14 +87,6 @@ pub struct ProgramSpec {
 }
 
 impl ProgramSpec {
-    /// Captures a platform program as a serializable spec.
-    pub fn from_program(program: &PhaseProgram) -> ProgramSpec {
-        ProgramSpec {
-            name: program.name().to_owned(),
-            segments: program.phases().iter().map(SegmentSpec::from_phase).collect(),
-        }
-    }
-
     /// Builds the platform program.
     ///
     /// # Errors

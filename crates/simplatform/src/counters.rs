@@ -85,17 +85,6 @@ impl CounterBlock {
         c[HardwareEvent::UopsRetired.index()] += rates.uops_per_cycle * cycles;
     }
 
-    /// The raw counter slots in dense [`HardwareEvent::index`] order — the
-    /// SoA batch stepper's load/store path (`crate::batch`).
-    pub(crate) fn raw(&self) -> &[f64; HardwareEvent::COUNT] {
-        &self.counts
-    }
-
-    /// Mutable view of the raw counter slots (see [`CounterBlock::raw`]).
-    pub(crate) fn raw_mut(&mut self) -> &mut [f64; HardwareEvent::COUNT] {
-        &mut self.counts
-    }
-
     /// Takes an immutable copy of the current totals.
     pub fn snapshot(&self) -> CounterSnapshot {
         CounterSnapshot { counts: self.counts }
@@ -127,12 +116,6 @@ impl CounterSnapshot {
     /// A snapshot with all counters at zero.
     pub fn zero() -> Self {
         CounterSnapshot { counts: [0.0; HardwareEvent::COUNT] }
-    }
-
-    /// Builds a snapshot from raw slots in dense [`HardwareEvent::index`]
-    /// order (the SoA batch stepper's read path, `crate::batch`).
-    pub(crate) fn from_raw(counts: [f64; HardwareEvent::COUNT]) -> Self {
-        CounterSnapshot { counts }
     }
 
     /// Returns the snapshot's total for `event`.

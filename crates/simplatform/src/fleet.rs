@@ -1,9 +1,9 @@
-//! Discrete-event fleet simulation: thousands of machines, cohort-batched.
+//! Discrete-event fleet simulation: thousands of machines in cohorts.
 //!
 //! A [`Fleet`] holds N independent [`Machine`]s grouped into *cohorts* —
-//! lanes that share a control cadence and therefore step together through
-//! one [`MachineBatch`] lockstep sweep (the §14 SoA engine). Time advances
-//! through a discrete-event scheduler: a min-heap of
+//! sets of lanes that share a control cadence and therefore wake together,
+//! each lane ticking its own machine. Time advances through a
+//! discrete-event scheduler: a min-heap of
 //! `(next_wake_tick, class, cohort_id)` keyed on **integer multiples of a
 //! base interval**, so equal wake times compare exactly, per-step tick
 //! lengths are a constant [`Seconds`] value, and idle or far-future nodes
@@ -16,33 +16,31 @@
 //! Control policy lives outside this crate: a [`FleetController`] gets a
 //! callback after every cohort step (the per-node governor cadence) and at
 //! a global governor cadence (the cluster-reallocation point), and may
-//! read per-lane SoA state and drive a lane's machine through a synced
-//! guard ([`Fleet::lane_mut`]). The cluster-governor layer in `aapm-core`
-//! implements it, running one node control loop per lane.
+//! read and drive any lane's machine directly ([`Fleet::machine_mut`]).
+//! The cluster-governor layer in `aapm-core` implements it, running one
+//! node control loop per lane.
 //!
 //! Determinism contract: [`Fleet::run_des`] is **byte-identical** to
-//! [`Fleet::run_lockstep`], the naive engine that scalar-ticks every
-//! machine at every multiple of its cadence. Both engines deliver the same
-//! callback sequence (equal-tick events order cohorts ascending, then the
-//! governor) and the same per-machine float expressions — the batch sweep
-//! is bit-identical to scalar ticking (§14), and the per-step `dt` is
-//! computed by one shared expression. The tests in this module and the
-//! cluster-governed test in `aapm-core` pin the equivalence.
+//! [`Fleet::run_lockstep`], the naive engine that walks every base tick and
+//! ticks every machine at every multiple of its cadence. Both engines
+//! deliver the same callback sequence (equal-tick events order cohorts
+//! ascending, then the governor) and tick each machine with the same
+//! per-step `dt`, computed by one shared expression. The tests in this
+//! module and the cluster-governed test in `aapm-core` pin the
+//! equivalence.
 //!
 //! Retirement semantics: a governed cohort retires (stops waking) at the
 //! first step on which *all* its lanes have finished; individual finished
-//! lanes idle on the batch's sentinel path until then. A fast-forward lane
+//! lanes keep ticking at idle power until then. A fast-forward lane
 //! freezes at its own completion time — it books no idle energy after its
 //! program ends.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::batch::{LaneGuard, MachineBatch};
 use crate::counters::CounterSnapshot;
 use crate::error::{PlatformError, Result};
 use crate::machine::Machine;
-use crate::pstate::PStateId;
 use crate::requests::{Request, RequestQueue};
 use crate::units::{Joules, Seconds};
 
@@ -52,9 +50,8 @@ pub type CohortId = usize;
 /// How a cohort advances through simulated time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CohortMode {
-    /// Stepped every `cadence_ticks` base ticks through the batch lockstep
-    /// sweep, with a [`FleetController::cohort_stepped`] callback after
-    /// each step.
+    /// Every lane ticks every `cadence_ticks` base ticks, with a
+    /// [`FleetController::cohort_stepped`] callback after each step.
     Governed {
         /// Control cadence in base ticks (must be positive).
         cadence_ticks: u64,
@@ -65,10 +62,10 @@ pub enum CohortMode {
     FastForward,
 }
 
-/// One same-cadence group of lanes backed by a [`MachineBatch`].
+/// One same-cadence group of lanes.
 #[derive(Debug)]
 struct Cohort {
-    batch: MachineBatch,
+    machines: Vec<Machine>,
     mode: CohortMode,
     /// Global node id of this cohort's lane 0.
     node_offset: usize,
@@ -76,6 +73,12 @@ struct Cohort {
     retired: bool,
     /// How far (in base ticks) fast-forward lanes have been advanced.
     advanced_ticks: u64,
+}
+
+impl Cohort {
+    fn all_finished(&self) -> bool {
+        self.machines.iter().all(Machine::finished)
+    }
 }
 
 /// The control policy driven by a fleet run. Implementations must be
@@ -165,7 +168,7 @@ impl Fleet {
         let node_offset = self.nodes;
         self.nodes += machines.len();
         self.cohorts.push(Cohort {
-            batch: MachineBatch::new(machines),
+            machines,
             mode,
             node_offset,
             retired: false,
@@ -192,7 +195,7 @@ impl Fleet {
 
     /// Number of lanes in `cohort`.
     pub fn lanes(&self, cohort: CohortId) -> usize {
-        self.cohorts[cohort].batch.len()
+        self.cohorts[cohort].machines.len()
     }
 
     /// Total nodes across all cohorts.
@@ -232,43 +235,30 @@ impl Fleet {
         }
     }
 
-    /// Read access to one lane's machine (control-plane state is live;
-    /// hot accumulators live in the SoA arrays — see
-    /// [`MachineBatch::lane`]).
+    /// Read access to one lane's machine.
     pub fn machine(&self, cohort: CohortId, lane: usize) -> &Machine {
-        self.cohorts[cohort].batch.lane(lane)
+        &self.cohorts[cohort].machines[lane]
     }
 
-    /// Exclusive access to one lane's machine, synced on entry and loaded
-    /// back into the SoA arrays when the guard drops (see
-    /// [`MachineBatch::lane_mut`]) — the path a controller's per-node
-    /// control loop samples and actuates through.
-    pub fn lane_mut(&mut self, cohort: CohortId, lane: usize) -> LaneGuard<'_> {
-        self.cohorts[cohort].batch.lane_mut(lane)
+    /// Exclusive access to one lane's machine — the path a controller's
+    /// per-node control loop samples and actuates through.
+    pub fn machine_mut(&mut self, cohort: CohortId, lane: usize) -> &mut Machine {
+        &mut self.cohorts[cohort].machines[lane]
     }
 
-    /// A lane's cumulative counters, read from the SoA arrays.
+    /// A lane's cumulative counters.
     pub fn counter_snapshot(&self, cohort: CohortId, lane: usize) -> CounterSnapshot {
-        self.cohorts[cohort].batch.counter_snapshot(lane)
+        self.machine(cohort, lane).counter_snapshot()
     }
 
-    /// A lane's accumulated true energy, read from the SoA arrays.
+    /// A lane's accumulated true energy.
     pub fn energy(&self, cohort: CohortId, lane: usize) -> Joules {
-        self.cohorts[cohort].batch.energy(lane)
+        self.machine(cohort, lane).true_energy()
     }
 
-    /// A lane's elapsed simulated time, read from the SoA arrays.
+    /// A lane's elapsed simulated time.
     pub fn elapsed(&self, cohort: CohortId, lane: usize) -> Seconds {
-        self.cohorts[cohort].batch.elapsed(lane)
-    }
-
-    /// Requests a p-state change on one lane.
-    ///
-    /// # Errors
-    ///
-    /// As [`MachineBatch::set_pstate`].
-    pub fn set_pstate(&mut self, cohort: CohortId, lane: usize, target: PStateId) -> Result<()> {
-        self.cohorts[cohort].batch.set_pstate(lane, target)
+        self.machine(cohort, lane).elapsed()
     }
 
     /// Offers a request to one serve-mode lane. Open-loop fleet cohorts
@@ -281,14 +271,12 @@ impl Fleet {
     /// As [`Machine::offer_request`]: panics if the lane is a batch
     /// (program-driven) machine.
     pub fn offer_request(&mut self, cohort: CohortId, lane: usize, request: Request) {
-        self.cohorts[cohort].batch.offer_request(lane, request);
+        self.machine_mut(cohort, lane).offer_request(request);
     }
 
-    /// A serve-mode lane's request queue, `None` for batch lanes. Queue
-    /// state is control-plane (never mirrored into the SoA arrays), so
-    /// this read is live without a lane sync.
+    /// A serve-mode lane's request queue, `None` for batch lanes.
     pub fn queue(&self, cohort: CohortId, lane: usize) -> Option<&RequestQueue> {
-        self.cohorts[cohort].batch.lane(lane).queue()
+        self.machine(cohort, lane).queue()
     }
 
     /// Advances every fast-forward cohort to `tick` through closed-form
@@ -308,8 +296,7 @@ impl Fleet {
                 continue;
             }
             cohort.advanced_ticks = tick;
-            for lane in 0..cohort.batch.len() {
-                let mut machine = cohort.batch.lane_mut(lane);
+            for machine in &mut cohort.machines {
                 let mut remaining = (target - machine.elapsed()).clamp_non_negative();
                 while !machine.finished() && remaining.is_positive() {
                     let advanced = machine.fast_forward(remaining)?.advanced;
@@ -322,7 +309,7 @@ impl Fleet {
 
     /// Runs the fleet to `horizon_ticks` under the discrete-event engine:
     /// a min-heap of `(next_wake, class, cohort)` wakes each governed
-    /// cohort at multiples of its cadence (batch lockstep sweep +
+    /// cohort at multiples of its cadence (every lane ticks, then the
     /// controller callback) and the controller's governor at multiples of
     /// `governor_every` (0 disables governor wakes). Equal-timestamp
     /// events run cohorts in ascending id order, then the governor.
@@ -353,10 +340,9 @@ impl Fleet {
         }
         while let Some(Reverse((tick, class, id))) = heap.pop() {
             if class == CLASS_COHORT {
-                let dt = self.cohort_dt(id);
-                self.cohorts[id].batch.tick_all(dt);
+                self.step_cohort(id);
                 controller.cohort_stepped(self, id, tick)?;
-                if self.cohorts[id].batch.all_finished() {
+                if self.cohorts[id].all_finished() {
                     // Idle nodes cost nothing: the cohort never wakes again.
                     self.cohorts[id].retired = true;
                 } else if let CohortMode::Governed { cadence_ticks } = self.cohorts[id].mode {
@@ -377,9 +363,8 @@ impl Fleet {
     }
 
     /// The naive reference engine: walks every base tick from 1 to the
-    /// horizon and scalar-ticks each governed cohort's machines one by one
-    /// (through [`MachineBatch::lane_mut`]) whenever the tick is a
-    /// multiple of its cadence, with the same callbacks, ordering, and
+    /// horizon and ticks each governed cohort's machines whenever the tick
+    /// is a multiple of its cadence, with the same callbacks, ordering, and
     /// retirement rule as [`Fleet::run_des`]. Exists to pin the DES
     /// engine's byte-identity; it is O(horizon × cohorts) even when
     /// nothing wakes.
@@ -401,13 +386,9 @@ impl Fleet {
                 if self.cohorts[id].retired || tick % cadence_ticks != 0 {
                     continue;
                 }
-                let dt = self.cohort_dt(id);
-                for lane in 0..self.cohorts[id].batch.len() {
-                    let mut machine = self.cohorts[id].batch.lane_mut(lane);
-                    machine.tick(dt);
-                }
+                self.step_cohort(id);
                 controller.cohort_stepped(self, id, tick)?;
-                if self.cohorts[id].batch.all_finished() {
+                if self.cohorts[id].all_finished() {
                     self.cohorts[id].retired = true;
                 }
             }
@@ -417,6 +398,14 @@ impl Fleet {
         }
         self.advance_fastforward_to(horizon_ticks)
     }
+
+    /// Ticks every lane of a governed cohort by its step length.
+    fn step_cohort(&mut self, cohort: CohortId) {
+        let dt = self.cohort_dt(cohort);
+        for machine in &mut self.cohorts[cohort].machines {
+            machine.tick(dt);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -425,6 +414,7 @@ mod tests {
     use crate::config::MachineConfig;
     use crate::phase::PhaseDescriptor;
     use crate::program::PhaseProgram;
+    use crate::pstate::PStateId;
 
     fn program(instructions: u64, core_cpi: f64) -> PhaseProgram {
         let phase = PhaseDescriptor::builder("fleet-test")
@@ -469,7 +459,7 @@ mod tests {
     }
 
     /// Records the callback sequence and actuates a deterministic p-state
-    /// script, exercising the scalar-fallback path in both engines.
+    /// script, so both engines tick through DVFS stalls.
     #[derive(Default)]
     struct Recorder {
         log: Vec<(u64, usize)>,
@@ -483,8 +473,7 @@ mod tests {
             self.decisions += 1;
             // Cycle lane 0 of every stepped cohort through p-states.
             let target = PStateId::new(self.decisions % 8);
-            fleet.set_pstate(cohort, 0, target)?;
-            Ok(())
+            fleet.machine_mut(cohort, 0).set_pstate(target)
         }
 
         fn governor_tick(&mut self, fleet: &mut Fleet, now: u64) -> Result<()> {
@@ -587,8 +576,8 @@ mod tests {
     }
 
     /// Serve fleet: one open-loop cohort (cadence 5) next to a governed
-    /// batch cohort, so serve lanes and SoA fast-path lanes interleave in
-    /// the event heap.
+    /// batch cohort, so serve lanes and program lanes interleave in the
+    /// event heap.
     fn build_serve_fleet() -> Fleet {
         let mut fleet = Fleet::new(Seconds::from_millis(10.0));
         fleet
@@ -639,7 +628,7 @@ mod tests {
             if cohort == 0 {
                 self.feed(fleet, now + self.cadence);
                 self.decisions += 1;
-                fleet.set_pstate(0, 0, PStateId::new(self.decisions % 8))?;
+                fleet.machine_mut(0, 0).set_pstate(PStateId::new(self.decisions % 8))?;
             }
             Ok(())
         }

@@ -42,7 +42,6 @@
 //! # Ok::<(), aapm_platform::error::PlatformError>(())
 //! ```
 
-pub mod batch;
 pub mod cache;
 pub mod config;
 pub mod counters;
@@ -65,7 +64,6 @@ pub mod throttle;
 pub mod units;
 pub mod workload;
 
-pub use batch::MachineBatch;
 pub use config::MachineConfig;
 pub use counters::{CounterDelta, CounterSnapshot};
 pub use error::PlatformError;

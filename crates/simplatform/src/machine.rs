@@ -47,38 +47,37 @@ pub(crate) const PHASE_END_REL_EPS: f64 = 1e-9;
 /// this module drive a memoized machine against the uncached reference path
 /// to prove it.
 ///
-/// Every per-segment cost expression lives on this type, so the scalar
-/// segment primitive (with `adv` cut at the next event) and the SoA batch
-/// (with `adv = dt`) evaluate the same floats. Clock modulation gates the
-/// core clock for (1 − duty) of the wall-clock time: work and cycle-counted
-/// events scale with the duty, the gated fraction draws leakage only.
+/// Every per-segment cost expression lives on this type. Clock modulation
+/// gates the core clock for (1 − duty) of the wall-clock time: work and
+/// cycle-counted events scale with the duty, the gated fraction draws
+/// leakage only.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct SegmentMemo {
-    pub(crate) phase_index: usize,
-    pub(crate) pstate: PStateId,
-    pub(crate) throttle: ThrottleLevel,
-    pub(crate) rates: PhaseRates,
-    pub(crate) active_power: Watts,
-    pub(crate) gated_power: Watts,
-    pub(crate) phase_instructions: f64,
+struct SegmentMemo {
+    phase_index: usize,
+    pstate: PStateId,
+    throttle: ThrottleLevel,
+    rates: PhaseRates,
+    active_power: Watts,
+    gated_power: Watts,
+    phase_instructions: f64,
     hz: f64,
     duty: f64,
 }
 
 impl SegmentMemo {
     /// Retired instructions per second at execution jitter `jitter`.
-    pub(crate) fn ips(&self, jitter: f64) -> f64 {
+    fn ips(&self, jitter: f64) -> f64 {
         self.rates.instructions_per_second * jitter * self.duty
     }
 
     /// Unhalted core cycles over `adv`.
-    pub(crate) fn cycles(&self, adv: Seconds) -> f64 {
+    fn cycles(&self, adv: Seconds) -> f64 {
         self.hz * (adv * self.duty).seconds()
     }
 
     /// True energy over `adv`: active power while the clock runs, gated
     /// (leakage) power for the rest.
-    pub(crate) fn energy(&self, adv: Seconds) -> Joules {
+    fn energy(&self, adv: Seconds) -> Joules {
         self.active_power * (adv * self.duty) + self.gated_power * (adv * (1.0 - self.duty))
     }
 }
@@ -154,29 +153,25 @@ pub struct TickOutcome {
 #[derive(Debug, Clone)]
 pub struct Machine {
     config: MachineConfig,
-    // The pub(crate) fields below are the hot state the SoA batch stepper
-    // (`crate::batch`) loads into its lanes and writes back on sync; they
-    // stay private outside the crate.
-    pub(crate) power_model: GroundTruthPower,
+    power_model: GroundTruthPower,
     program: PhaseProgram,
     current: PStateId,
     phase_index: usize,
-    pub(crate) phase_done_instructions: f64,
-    pub(crate) phase_jitter: f64,
-    pub(crate) counters: CounterBlock,
-    pub(crate) elapsed: Seconds,
-    pub(crate) true_energy: Joules,
-    pub(crate) transition_remaining: Seconds,
+    phase_done_instructions: f64,
+    phase_jitter: f64,
+    counters: CounterBlock,
+    elapsed: Seconds,
+    true_energy: Joules,
+    transition_remaining: Seconds,
     transitions_performed: u64,
     completion_time: Option<Seconds>,
     throttle: ThrottleLevel,
-    pub(crate) thermal: ThermalModel,
+    thermal: ThermalModel,
     noise: NoiseSource,
     memo: Option<SegmentMemo>,
     /// Serve mode: an open-loop request queue drained work-conservingly by
     /// [`Machine::tick`] instead of the batch phase loop. `None` for batch
-    /// machines; the batch stepper keys off this to route serve lanes
-    /// through the scalar fallback path.
+    /// machines.
     serve: Option<RequestQueue>,
 }
 
@@ -367,9 +362,8 @@ impl Machine {
     /// worth of simulation. Two clock rules hold:
     ///
     /// * Segment limits come from the shrinking tick remainder, so a first
-    ///   segment that nothing cuts short advances by exactly `dt` (the SoA
-    ///   batch precomputes that segment), and a completion is stamped
-    ///   `elapsed + (dt − remaining)`.
+    ///   segment that nothing cuts short advances by exactly `dt`, and a
+    ///   completion is stamped `elapsed + (dt − remaining)`.
     /// * An idle segment that ends at an arrival *assigns* the clock to the
     ///   arrival time instead of reaching it by subtraction. A sub-ulp
     ///   arrival gap (an arrival one ulp past the clock, common once
@@ -454,14 +448,14 @@ impl Machine {
         Ok(self.book_segment(seg))
     }
 
-    /// The segment primitive behind [`Machine::tick`],
-    /// [`Machine::fast_forward`] and the SoA batch. Starting at simulated
-    /// time `now`, advances by the shortest of `limit`, the rest of a DVFS
-    /// stall, the time to the current phase boundary or head-request
-    /// completion, and (on an idle server) the next arrival. Books the
-    /// segment's counters and its phase or queue progress; the caller
-    /// commits the returned time, work and energy, and completes the work
-    /// on [`SegmentEnd::Done`].
+    /// The segment primitive behind [`Machine::tick`] and
+    /// [`Machine::fast_forward`]. Starting at simulated time `now`,
+    /// advances by the shortest of `limit`, the rest of a DVFS stall, the
+    /// time to the current phase boundary or head-request completion, and
+    /// (on an idle server) the next arrival. Books the segment's counters
+    /// and its phase or queue progress; the caller commits the returned
+    /// time, work and energy, and completes the work on
+    /// [`SegmentEnd::Done`].
     ///
     /// An idle core (finished program, or no arrived request) draws idle
     /// power and counts halted-clock cycles only. A zero-rate segment
@@ -572,18 +566,16 @@ impl Machine {
         }
     }
 
-    /// The memoized segment state for the current key, derived and cached
-    /// on a key change.
-    pub(crate) fn refresh_memo(&mut self) -> &SegmentMemo {
+    /// Derives and caches the segment state on a key change.
+    fn refresh_memo(&mut self) {
         if self.live_memo().is_none() {
             self.memo = Some(self.derive_memo());
         }
-        self.memo.as_ref().expect("the memo was just refreshed")
     }
 
     /// Energy and (halted-clock) cycle count of idling for `adv` at the
     /// current p-state.
-    pub(crate) fn idle_cost(&self, adv: Seconds) -> (Joules, f64) {
+    fn idle_cost(&self, adv: Seconds) -> (Joules, f64) {
         let ps = self.operating_point();
         (self.power_model.idle_power(ps) * adv, ps.frequency().hz() * adv.seconds())
     }
@@ -592,7 +584,7 @@ impl Machine {
     /// resamples the execution jitter (per phase, or per request — the
     /// serve analogue) and latches the completion time once the program is
     /// done.
-    pub(crate) fn complete_work(&mut self, now: Seconds) {
+    fn complete_work(&mut self, now: Seconds) {
         match &mut self.serve {
             Some(queue) => queue.complete_head(now),
             None => {
@@ -652,7 +644,7 @@ impl Machine {
     /// tests drive this against the memoized `tick` on identical inputs to
     /// prove the memo changes nothing, bit for bit.
     #[cfg(test)]
-    pub(crate) fn tick_uncached(&mut self, dt: Seconds) -> TickOutcome {
+    fn tick_uncached(&mut self, dt: Seconds) -> TickOutcome {
         assert!(dt.is_positive(), "tick duration must be positive");
         let mut remaining = dt;
         let mut energy = Joules::ZERO;

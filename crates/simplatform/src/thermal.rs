@@ -113,13 +113,6 @@ impl ThermalModel {
         self.temperature
     }
 
-    /// Overwrites the die temperature directly — the SoA batch stepper's
-    /// write-back path (`crate::batch`), which integrates the same
-    /// exponential step over contiguous per-lane arrays.
-    pub(crate) fn set_temperature(&mut self, temperature: Celsius) {
-        self.temperature = temperature;
-    }
-
     /// The temperature a sustained power level would settle at.
     pub fn steady_state(&self, power: Watts) -> Celsius {
         Celsius::new(self.params.ambient.degrees() + power.watts() * self.params.resistance_c_per_w)

@@ -24,16 +24,10 @@ if grep -rnE '\b(run_with_faults|run_observed|runtime::run)\b' \
 fi
 
 # Parallel-harness smoke: the full suite on a 2-wide pool must complete and
-# leave the wall-clock/speedup report behind.
+# leave the wall-clock/speedup report behind. (The committed-CSV gate is the
+# Tier-1 test `suite_reproduces_every_committed_csv`.)
 cargo run --release --offline -p aapm-experiments -- all --jobs 2 --csv results/ > /dev/null
 test -s results/BENCH_suite.json
-
-# Committed-CSV gate: the smoke above rewrote every results/*.csv, and a
-# behaviour-preserving change must leave each one byte-identical.
-if ! git diff --exit-code -- 'results/*.csv'; then
-    echo "csv gate FAIL: committed results/*.csv drifted (diff above)" >&2
-    exit 1
-fi
 
 # Observability smoke: a suite cell with tracing and metrics enabled must
 # emit parseable JSONL traces and a non-trivial aggregate snapshot.
