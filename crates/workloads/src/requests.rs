@@ -19,11 +19,18 @@
 //!   the textbook model for web-request service times.
 //!
 //! Arrivals are drawn by *thinning*: candidate gaps are exponential at the
-//! envelope rate `peak_rps × max(burst multipliers)` and accepted with
-//! probability `rate(t) / envelope`, which samples the nonhomogeneous
-//! Poisson process exactly. Everything flows from one
-//! [`NoiseSource`], so the stream is a pure function of the seed and the
-//! window sequence — byte-identical across runs and pool widths.
+//! envelope rate — `peak_rps` times the largest product of burst
+//! multipliers covering any one instant, since overlapping bursts compound
+//! — and a candidate at `t` is accepted when a uniform `v < rate(t) /
+//! envelope`, which samples the nonhomogeneous Poisson process exactly.
+//! That test is decided from bounds `[lo, hi)` on the acceptance
+//! probability over a fixed grid of 256 cells per day: `v < lo` accepts
+//! and `v ≥ hi` rejects without evaluating the rate, and only the ~1 % of
+//! draws between the bounds evaluate `rate(t)`. The bounds are padded to
+//! hold for every float time in their cell, so each decision is the exact
+//! test's. Everything flows from one [`NoiseSource`], so the stream is a
+//! pure function of the seed and the window sequence — byte-identical
+//! across runs and pool widths.
 
 use aapm_platform::config::MachineConfig;
 use aapm_platform::error::{PlatformError, Result};
@@ -33,6 +40,34 @@ use aapm_platform::phase::PhaseDescriptor;
 use aapm_platform::requests::Request;
 use aapm_platform::units::Seconds;
 use aapm_platform::workload::WorkloadSource;
+
+/// Grid cells per `day` over which thinning bounds its acceptance
+/// probability: narrow enough that the bounds sit ~1 % apart, wide enough
+/// that a cell's bounds are computed once per tens of candidates.
+const CELLS_PER_DAY: f64 = 256.0;
+
+/// Relative padding of a cell's bounds: far above the few-ulp rounding of
+/// `rate_at`, far below the gap between the bounds.
+const BOUND_PAD: f64 = 1e-9;
+
+/// One grid cell `[start, end)` of the workload's time axis with its
+/// acceptance bounds (see `RequestWorkload::cell_at`).
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    start: f64,
+    end: f64,
+    lo: f64,
+    hi: f64,
+}
+
+impl Cell {
+    /// Contains no time, so the first candidate computes its cell.
+    const EMPTY: Cell = Cell { start: 0.0, end: 0.0, lo: 0.0, hi: 1.0 };
+
+    fn contains(&self, t: f64) -> bool {
+        self.start <= t && t < self.end
+    }
+}
 
 /// A multiplicative rate spike over `[start, end)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -166,10 +201,22 @@ impl RequestWorkloadBuilder {
             Some(phase) => phase.clone(),
             None => default_service_phase()?,
         };
-        // Envelope for thinning: the diurnal peak times the strongest
-        // burst amplification (multipliers < 1 cannot raise the rate).
-        let amplification =
-            self.bursts.iter().map(|b| b.multiplier.max(1.0)).fold(1.0f64, f64::max);
+        // Envelope for thinning: the diurnal peak times the largest burst
+        // amplification at any instant. `rate_at` multiplies every burst
+        // covering `t`, so overlapping bursts compound (multipliers < 1
+        // cannot raise the rate). The covering set only grows at a burst's
+        // start, so the maximum sits at one of the start edges.
+        let amplification = self
+            .bursts
+            .iter()
+            .map(|edge| {
+                self.bursts
+                    .iter()
+                    .filter(|b| b.start <= edge.start && edge.start < b.end)
+                    .map(|b| b.multiplier.max(1.0))
+                    .product::<f64>()
+            })
+            .fold(1.0f64, f64::max);
         // Bounded Pareto with mean `mean_instructions`: solve for xmin
         // from E[X] = xmin × α/(α−1) × (1 − r^(α−1)) / (1 − r^α) with
         // r = 1/cap.
@@ -177,6 +224,7 @@ impl RequestWorkloadBuilder {
         let r = 1.0 / self.tail_cap;
         let mean_over_xmin = a / (a - 1.0) * (1.0 - r.powf(a - 1.0)) / (1.0 - r.powf(a));
         let xmin = (self.mean_instructions / mean_over_xmin).max(1.0);
+        let xmax = xmin * self.tail_cap;
         Ok(RequestWorkload {
             name: self.name.clone(),
             seed: self.seed,
@@ -186,11 +234,13 @@ impl RequestWorkloadBuilder {
             bursts: self.bursts.clone(),
             envelope_rps: self.peak_rps * amplification,
             xmin,
-            xmax: xmin * self.tail_cap,
-            alpha: a,
+            xmax,
+            tail_span: 1.0 - (xmin / xmax).powf(a),
+            inv_alpha: 1.0 / a,
             service,
             rng: NoiseSource::seeded(self.seed ^ 0x005E_27EA_FF1C),
             cursor: Seconds::ZERO,
+            cell: Cell::EMPTY,
             staged: None,
         })
     }
@@ -241,11 +291,16 @@ pub struct RequestWorkload {
     envelope_rps: f64,
     xmin: f64,
     xmax: f64,
-    alpha: f64,
+    /// `1 − (xmin/xmax)^α`, hoisted out of the bounded-Pareto inverse CDF.
+    tail_span: f64,
+    /// `1/α`, likewise.
+    inv_alpha: f64,
     service: PhaseDescriptor,
     rng: NoiseSource,
     /// Last candidate arrival time drawn (the thinning clock).
     cursor: Seconds,
+    /// The grid cell the cursor last fell in, with its acceptance bounds.
+    cell: Cell,
     /// An accepted arrival beyond the last window's end, carried into the
     /// next window so no draw is ever discarded.
     staged: Option<Request>,
@@ -272,18 +327,72 @@ impl RequestWorkload {
     /// raised cosine (trough at `t = 0`, peak at half a day, cyclic) times
     /// any burst multipliers covering `t`.
     pub fn rate_at(&self, t: Seconds) -> f64 {
-        let phase = (t.seconds() / self.day.seconds()).rem_euclid(1.0);
-        let diurnal = self.base_rps
-            + (self.peak_rps - self.base_rps)
-                * 0.5
-                * (1.0 - (2.0 * std::f64::consts::PI * phase).cos());
         let burst: f64 = self
             .bursts
             .iter()
             .filter(|b| b.start <= t && t < b.end)
             .map(|b| b.multiplier)
             .product();
-        diurnal * burst
+        self.diurnal(self.phase(t.seconds())) * burst
+    }
+
+    /// Position of `t` within its day, in `[0, 1)`.
+    fn phase(&self, t: f64) -> f64 {
+        (t / self.day.seconds()).rem_euclid(1.0)
+    }
+
+    /// The raised-cosine diurnal rate at `phase`.
+    fn diurnal(&self, phase: f64) -> f64 {
+        self.base_rps
+            + (self.peak_rps - self.base_rps)
+                * 0.5
+                * (1.0 - (2.0 * std::f64::consts::PI * phase).cos())
+    }
+
+    /// The grid cell containing `t`, with bounds `lo ≤ accept(t') < hi`
+    /// on the thinning acceptance probability `accept(t') =
+    /// clamp(rate_at(t') / envelope, 0, 1)` of every float `t'` in it.
+    fn cell_at(&self, t: f64) -> Cell {
+        let width = self.day.seconds() / CELLS_PER_DAY;
+        // Rounding can put `t` one cell off `floor(t / width)`; step so
+        // `start ≤ t < end` holds for the edges as computed.
+        let mut k = (t / width).floor();
+        if k * width > t {
+            k -= 1.0;
+        } else if (k + 1.0) * width <= t {
+            k += 1.0;
+        }
+        let (start, end) = (k * width, (k + 1.0) * width);
+        if !(start <= t && t < end) {
+            // `width` is below `t`'s ulp (a vanishing `day`): a cell that
+            // contains nothing sends every candidate to the exact test.
+            return Cell { start: t, end: t, lo: 0.0, hi: f64::INFINITY };
+        }
+        // The raised cosine is monotone from its trough (phase 0) to its
+        // crest (phase ½) and back, so over the cell it lies between its
+        // edge values unless the phases wrap past 0 or cross ½.
+        let (p0, p1) = (self.phase(start), self.phase(end));
+        let (d0, d1) = (self.diurnal(p0), self.diurnal(p1));
+        let wraps = p1 < p0;
+        let crest = if wraps { p0 <= 0.5 || 0.5 <= p1 } else { p0 <= 0.5 && 0.5 <= p1 };
+        let mut lo = if wraps { self.base_rps } else { d0.min(d1) };
+        let mut hi = if crest { self.peak_rps } else { d0.max(d1) };
+        for b in &self.bursts {
+            let (b_start, b_end) = (b.start.seconds(), b.end.seconds());
+            if b_start <= start && end <= b_end {
+                lo *= b.multiplier;
+                hi *= b.multiplier;
+            } else if b_start < end && start < b_end {
+                lo *= b.multiplier.min(1.0);
+                hi *= b.multiplier.max(1.0);
+            }
+        }
+        Cell {
+            start,
+            end,
+            lo: lo / self.envelope_rps * (1.0 - BOUND_PAD),
+            hi: hi / self.envelope_rps * (1.0 + BOUND_PAD),
+        }
     }
 
     /// The seed this workload draws from.
@@ -298,6 +407,7 @@ impl RequestWorkload {
         copy.seed = seed;
         copy.rng = NoiseSource::seeded(seed ^ 0x005E_27EA_FF1C);
         copy.cursor = Seconds::ZERO;
+        copy.cell = Cell::EMPTY;
         copy.staged = None;
         copy
     }
@@ -308,8 +418,17 @@ impl RequestWorkload {
             // Exponential gap at the envelope rate.
             let u = self.rng.uniform(f64::MIN_POSITIVE, 1.0);
             self.cursor += Seconds::new(-u.ln() / self.envelope_rps);
-            let accept = self.rate_at(self.cursor) / self.envelope_rps;
-            if self.rng.chance(accept.clamp(0.0, 1.0)) {
+            let t = self.cursor.seconds();
+            if !self.cell.contains(t) {
+                self.cell = self.cell_at(t);
+            }
+            // The exact test is `v < accept(t)`; the cell's bounds settle
+            // it unless `v` falls between them.
+            let v = self.rng.uniform(0.0, 1.0);
+            let accept = v < self.cell.lo
+                || (v < self.cell.hi
+                    && v < (self.rate_at(self.cursor) / self.envelope_rps).clamp(0.0, 1.0));
+            if accept {
                 let demand = self.draw_demand();
                 return Request::new(self.cursor, demand);
             }
@@ -319,8 +438,7 @@ impl RequestWorkload {
     /// Bounded-Pareto demand by inverse-CDF.
     fn draw_demand(&mut self) -> f64 {
         let u = self.rng.uniform(0.0, 1.0);
-        let ratio = (self.xmin / self.xmax).powf(self.alpha);
-        let x = self.xmin / (1.0 - u * (1.0 - ratio)).powf(1.0 / self.alpha);
+        let x = self.xmin / (1.0 - u * self.tail_span).powf(self.inv_alpha);
         x.clamp(self.xmin, self.xmax)
     }
 }
@@ -356,6 +474,7 @@ impl WorkloadSource for RequestWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn workload(seed: u64) -> RequestWorkload {
         RequestWorkload::builder("t").seed(seed).build().unwrap()
@@ -463,6 +582,292 @@ mod tests {
         assert!(load.open_loop());
         let machine = load.machine(MachineConfig::default());
         assert!(machine.is_serving());
+    }
+
+    #[test]
+    fn overlapping_bursts_draw_their_full_rate() {
+        // A flat 100 rps under 2× and 3× bursts on the same [10, 20) s:
+        // the window runs at 600 rps, so 50 seeds expect Λ = 300,000
+        // arrivals in it (σ = √Λ).
+        let overlap = |seed: u64| {
+            let mut b = RequestWorkload::builder("overlap");
+            b.seed(seed)
+                .rates(100.0, 100.0)
+                .burst(Seconds::new(10.0), Seconds::new(20.0), 2.0)
+                .burst(Seconds::new(10.0), Seconds::new(20.0), 3.0);
+            b.build().unwrap()
+        };
+        let arrived: usize = (0..50)
+            .map(|seed| {
+                let all = drain(&mut overlap(seed), 0.0, 30.0);
+                all.iter().filter(|r| (10.0..20.0).contains(&r.arrival.seconds())).count()
+            })
+            .sum();
+        let lambda = 50.0 * 600.0 * 10.0;
+        assert!(
+            (arrived as f64 - lambda).abs() < 5.0 * f64::sqrt(lambda),
+            "{arrived} arrivals in the burst window against Λ = {lambda}"
+        );
+        let mut staggered = RequestWorkload::builder("staggered");
+        staggered
+            .burst(Seconds::new(10.0), Seconds::new(20.0), 2.0)
+            .burst(Seconds::new(15.0), Seconds::new(25.0), 3.0)
+            .burst(Seconds::new(18.0), Seconds::new(30.0), 0.5)
+            .burst(Seconds::new(22.0), Seconds::new(40.0), 4.0);
+        for load in [overlap(0), staggered.build().unwrap()] {
+            for b in &load.bursts {
+                for edge in [b.start.seconds(), b.end.seconds()] {
+                    for t in [edge.next_down(), edge, edge.next_up()] {
+                        let rate = load.rate_at(Seconds::new(t));
+                        assert!(rate <= load.envelope_rps, "rate {rate} at {t} above the envelope");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The thinning loop as it was before per-cell bounds, kept as the
+    /// reference: every candidate is decided by `chance(rate_at /
+    /// envelope)` and every demand by the direct bounded-Pareto formula
+    /// with shape `alpha`. Drives `load`'s own RNG, cursor and staged
+    /// request.
+    fn reference_arrivals(
+        load: &mut RequestWorkload,
+        alpha: f64,
+        end: Seconds,
+        out: &mut Vec<Request>,
+    ) {
+        let next_request = |load: &mut RequestWorkload| loop {
+            let u = load.rng.uniform(f64::MIN_POSITIVE, 1.0);
+            load.cursor += Seconds::new(-u.ln() / load.envelope_rps);
+            let accept = load.rate_at(load.cursor) / load.envelope_rps;
+            if load.rng.chance(accept.clamp(0.0, 1.0)) {
+                let u = load.rng.uniform(0.0, 1.0);
+                let ratio = (load.xmin / load.xmax).powf(alpha);
+                let x = load.xmin / (1.0 - u * (1.0 - ratio)).powf(1.0 / alpha);
+                return Request::new(load.cursor, x.clamp(load.xmin, load.xmax));
+            }
+        };
+        loop {
+            let staged = match load.staged.take() {
+                Some(r) => r,
+                None => next_request(load),
+            };
+            if staged.arrival >= end {
+                load.staged = Some(staged);
+                return;
+            }
+            out.push(staged);
+        }
+    }
+
+    fn bits(requests: &[Request]) -> Vec<(u64, u64)> {
+        requests.iter().map(|r| (r.arrival.seconds().to_bits(), r.instructions.to_bits())).collect()
+    }
+
+    /// Draws `load` up to `horizon` through windows cycling over `splits`
+    /// (seconds) and requires the reference's one-window stream, bit for
+    /// bit.
+    fn assert_matches_reference(load: RequestWorkload, alpha: f64, horizon: f64, splits: &[f64]) {
+        let mut reference = load.clone();
+        let mut expected = Vec::new();
+        reference_arrivals(&mut reference, alpha, Seconds::new(horizon), &mut expected);
+        let mut load = load;
+        let mut got = Vec::new();
+        let mut start = 0.0;
+        for split in splits.iter().cycle() {
+            let end = (start + split).min(horizon);
+            load.arrivals_into(Seconds::new(start), Seconds::new(end), &mut got);
+            if end >= horizon {
+                break;
+            }
+            start = end;
+        }
+        assert_eq!(bits(&got), bits(&expected));
+    }
+
+    /// Drawn shapes: a day, trough and peak rates, and up to three bursts
+    /// (often overlapping, multipliers 0.25–4) whose edges sit anywhere,
+    /// on a cell edge, or one ulp to either side of one.
+    fn shapes() -> impl Strategy<Value = RequestWorkloadBuilder> {
+        let burst = (0.0f64..2.0, 0.0f64..1.0, 0u8..4, 0u8..4, 0.25f64..4.0);
+        let bursts = prop::collection::vec(burst, 0..4);
+        (0u64..u64::MAX, 0.5f64..10.0, 1.0f64..150.0, 1.0f64..4.0, bursts).prop_map(
+            |(seed, day, base, peak_over_base, bursts)| {
+                let width = day / CELLS_PER_DAY;
+                let snap = |t: f64, how: u8| {
+                    let edge = (t / width).round() * width;
+                    match how {
+                        0 => t,
+                        1 => edge,
+                        2 => edge.next_down(),
+                        _ => edge.next_up(),
+                    }
+                };
+                let mut b = RequestWorkload::builder("drawn");
+                b.seed(seed).day(Seconds::new(day)).rates(base, base * peak_over_base);
+                for (start, length, snap_start, snap_end, multiplier) in bursts {
+                    let start = snap(start * day, snap_start);
+                    let end = snap(start + length * day, snap_end).max(start.next_up());
+                    b.burst(Seconds::new(start), Seconds::new(end), multiplier);
+                }
+                b
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Deciding candidates from cell bounds changes no decision: the
+        /// stream, drawn through random window splits over up to three
+        /// days, equals the reference's bit for bit.
+        #[test]
+        fn bounded_thinning_matches_the_reference_stream(
+            shape in shapes(),
+            alpha in 1.1f64..3.0,
+            cap in 2.0f64..100.0,
+            days in 1.0f64..3.0,
+            splits in prop::collection::vec(0.0005f64..0.5, 1..6),
+        ) {
+            let mut shape = shape;
+            let load = shape.demand(2e6, alpha, cap).build().unwrap();
+            let day = load.day.seconds();
+            let splits: Vec<f64> = splits.iter().map(|split| split * day).collect();
+            assert_matches_reference(load, alpha, days * day, &splits);
+        }
+
+        /// Cell bounds hold on drawn shapes (see
+        /// `cell_bounds_contain_the_exact_acceptance`).
+        #[test]
+        fn drawn_cell_bounds_contain_the_exact_acceptance(shape in shapes()) {
+            check_cell_bounds(&shape.build().unwrap(), 2);
+        }
+    }
+
+    #[test]
+    fn vanishing_cells_fall_back_to_the_exact_test() {
+        // With a 1 ns day a cell is narrower than the ulp of any t past
+        // ~2e4 s, so no cell can hold the cursor there, while t / day
+        // still resolves phases 1/64 apart, so the rate keeps moving.
+        let mut b = RequestWorkload::builder("vanishing");
+        b.seed(3)
+            .day(Seconds::new(1e-9))
+            .rates(0.01, 0.04)
+            .burst(Seconds::new(3e4), Seconds::new(1e5), 3.0);
+        let load = b.build().unwrap();
+        assert!(!load.cell_at(1e5).contains(1e5));
+        assert_matches_reference(load, 1.5, 2e5, &[1e4]);
+    }
+
+    /// Checks `lo ≤ accept(t) < hi` in every cell over `days` days at its
+    /// edges, its midpoint and each burst edge ± 1 ulp inside it, and
+    /// returns the mean band width `hi − lo`.
+    fn check_cell_bounds(load: &RequestWorkload, days: usize) -> f64 {
+        let width = load.day.seconds() / CELLS_PER_DAY;
+        let burst_edges: Vec<f64> = load
+            .bursts
+            .iter()
+            .flat_map(|b| [b.start.seconds(), b.end.seconds()])
+            .flat_map(|e| [e.next_down(), e, e.next_up()])
+            .collect();
+        let cells = days * CELLS_PER_DAY as usize;
+        let mut band = 0.0;
+        for k in 0..cells {
+            let cell = load.cell_at(k as f64 * width);
+            band += cell.hi - cell.lo;
+            let edges = [cell.start, cell.end.next_down(), 0.5 * (cell.start + cell.end)];
+            let inside = burst_edges.iter().copied().filter(|&t| cell.contains(t));
+            for t in edges.into_iter().chain(inside) {
+                assert!(cell.contains(t), "{t} outside {cell:?}");
+                let accept = (load.rate_at(Seconds::new(t)) / load.envelope_rps).clamp(0.0, 1.0);
+                assert!(
+                    cell.lo <= accept && accept < cell.hi,
+                    "accept({t}) = {accept} outside {cell:?}"
+                );
+            }
+        }
+        band / cells as f64
+    }
+
+    /// The serve experiment's day (`serve.rs`): 86.4 s, 40/160 rps and a
+    /// 3× burst over [40, 48) s.
+    fn serve_day() -> RequestWorkloadBuilder {
+        let mut b = RequestWorkload::builder("front-end");
+        b.rates(40.0, 160.0).burst(Seconds::new(40.0), Seconds::new(48.0), 3.0);
+        b
+    }
+
+    /// The fleet short day (`serve.rs`'s fleet stage and perfbench's
+    /// fleet-day): 20 s, 40/160 rps and a 3× burst over [8, 12) s.
+    fn short_day() -> RequestWorkloadBuilder {
+        let mut b = RequestWorkload::builder("short-day");
+        b.day(Seconds::new(20.0))
+            .rates(40.0, 160.0)
+            .burst(Seconds::new(8.0), Seconds::new(12.0), 3.0);
+        b
+    }
+
+    #[test]
+    fn cell_bounds_contain_the_exact_acceptance() {
+        // On the two committed shapes, a mean band under 1 % means the
+        // bounds alone decide ≥ 99 % of candidates.
+        for shape in [serve_day(), short_day()] {
+            let band = check_cell_bounds(&shape.build().unwrap(), 2);
+            assert!(band < 0.01, "mean band {band}");
+        }
+    }
+
+    /// FNV-1a over the bit patterns of every arrival time and demand.
+    fn stream_hash(requests: &[Request]) -> u64 {
+        requests
+            .iter()
+            .flat_map(|r| [r.arrival.seconds().to_bits(), r.instructions.to_bits()])
+            .fold(0xCBF2_9CE4_8422_2325 ^ requests.len() as u64, |h, bits| {
+                (h ^ bits).wrapping_mul(0x0000_0100_0000_01B3)
+            })
+    }
+
+    #[test]
+    fn committed_stream_families_are_pinned() {
+        // The serve day at the run seeds 11/23/47, and the short day as
+        // the fleet stage's per-lane `reseeded` copies of one family,
+        // drawn over two days in 0.1 s windows. A change to any bit of
+        // any arrival or demand moves a hash.
+        let serve: Vec<u64> = [11, 23, 47]
+            .iter()
+            .map(|&seed| {
+                let mut load = serve_day().seed(seed).build().unwrap();
+                stream_hash(&drain(&mut load, 0.0, 86.4))
+            })
+            .collect();
+        let family = short_day().seed(0xF1EE7).build().unwrap();
+        let lanes: Vec<u64> = (1_000..1_004)
+            .map(|lane| {
+                let mut load = family.reseeded(lane);
+                let mut out = Vec::new();
+                for w in 0..400 {
+                    let (start, end) = (w as f64 * 0.1, (w + 1) as f64 * 0.1);
+                    load.arrivals_into(Seconds::new(start), Seconds::new(end), &mut out);
+                }
+                stream_hash(&out)
+            })
+            .collect();
+        assert_eq!(
+            serve,
+            [0xEB76_4F94_C1AA_3F17, 0x7EFE_E3C3_8552_9C53, 0x9977_113D_07A4_4255],
+            "serve day streams moved"
+        );
+        assert_eq!(
+            lanes,
+            [
+                0x9CF9_B9CB_76EC_02A4,
+                0x367E_FEB4_A1F3_5477,
+                0xDE5A_A0C3_BD58_2468,
+                0x01B6_DC2C_CA2E_1A2C
+            ],
+            "fleet short-day lanes moved"
+        );
     }
 
     #[test]
