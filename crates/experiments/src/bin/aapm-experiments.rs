@@ -33,7 +33,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use aapm_experiments::pool::PoolStats;
+use aapm_experiments::pool::{default_jobs, PoolStats};
 use aapm_experiments::{run_by_id, ExperimentContext, Pool, RunObserver, ALL_IDS};
 
 fn usage() {
@@ -60,11 +60,6 @@ fn parse_positive(flag: &str, value: &str) -> Result<usize, ExitCode> {
             Err(ExitCode::FAILURE)
         }
     }
-}
-
-/// Default worker count: every available core.
-fn default_jobs() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// Replays the committed adversarial corpus and byte-compares verdicts.
@@ -394,17 +389,18 @@ fn main() -> ExitCode {
     }
     let observer = (trace_out.is_some() || metrics_out.is_some())
         .then(|| Arc::new(RunObserver::new(trace_out.clone())));
-    let jobs_count = jobs.unwrap_or_else(|| {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    });
+    let jobs_count = jobs.unwrap_or_else(default_jobs);
     let pool = match &observer {
         Some(observer) => Pool::with_observer(jobs_count, Arc::clone(observer)),
         None => Pool::new(jobs_count),
     };
 
     eprintln!("training models on the simulated platform…");
+    // A pool of its own, so the suite's pool statistics and
+    // BENCH_suite.json describe the suite alone.
+    let train_pool = Pool::new(jobs_count);
     let train_start = Instant::now();
-    let ctx = match ExperimentContext::train() {
+    let ctx = match ExperimentContext::train_on(&train_pool) {
         Ok(ctx) => ctx,
         Err(e) => {
             eprintln!("training failed: {e}");
@@ -414,8 +410,10 @@ fn main() -> ExitCode {
     let train_wall = train_start.elapsed();
     let trained = ctx.perf_fit();
     eprintln!(
-        "trained in {:.2}s: eq-3 threshold {:.2}, exponent {:.2}; running `{id}` with {} job(s)…",
+        "trained in {:.2}s ({:.2}s cell-busy): eq-3 threshold {:.2}, exponent {:.2}; \
+         running `{id}` with {} job(s)…",
         train_wall.as_secs_f64(),
+        train_pool.stats().top_busy.as_secs_f64(),
         trained.params.dcu_threshold,
         trained.params.exponent,
         pool.jobs(),

@@ -2,7 +2,8 @@
 //!
 //! Training the models is the expensive preamble of every experiment
 //! (characterize 12 loops, run them at 8 p-states, fit). The context does it
-//! once and is shared by reference across all experiment modules.
+//! once, the characterizations on a job pool, and is shared by reference
+//! across all experiment modules.
 
 use aapm::spec::SpecModels;
 use aapm_models::perf_model::{PerfModel, PerfModelParams};
@@ -14,7 +15,11 @@ use aapm_models::training::{
 use aapm_platform::error::Result;
 use aapm_platform::pipeline::MemoryTimings;
 use aapm_platform::pstate::PStateTable;
-use aapm_workloads::characterize::{training_set, CharacterizedLoop};
+use aapm_workloads::characterize::{characterize, CharacterizedLoop};
+use aapm_workloads::footprint::Footprint;
+use aapm_workloads::loops::MicroLoop;
+
+use crate::pool::{self, Pool};
 
 /// Trained models plus the platform constants experiments need.
 #[derive(Debug, Clone)]
@@ -31,15 +36,36 @@ impl ExperimentContext {
     /// Trains the models on the simulated platform (the paper's §III.A
     /// procedure) and captures everything experiments share.
     ///
+    /// It runs [`ExperimentContext::train_on`] on a pool as wide as the
+    /// CLI's default `--jobs`, the host's available parallelism. The
+    /// context is the same, bit for bit, at every width.
+    ///
     /// # Errors
     ///
     /// Propagates platform errors from training.
     pub fn train() -> Result<Self> {
+        ExperimentContext::train_on(&Pool::new(pool::default_jobs()))
+    }
+
+    /// Trains the models with the 12 MS-Loops characterizations as cells of
+    /// `pool`; collecting the samples and both fits then run on the calling
+    /// thread.
+    ///
+    /// The cells go in longest first, so MLOAD_RAND-8MB, the critical path,
+    /// starts at once. The pool returns them in that submission order, and
+    /// they are put back into Table-I order before collection, so the
+    /// models do not depend on the pool's width.
+    ///
+    /// # Errors
+    ///
+    /// Propagates platform errors from training, and a panicking cell as
+    /// [`aapm_platform::error::PlatformError::CellPanicked`].
+    pub fn train_on(pool: &Pool) -> Result<Self> {
         let table = PStateTable::pentium_m_755();
         // Characterize the 12-point training set once; experiments that
         // need the loops themselves (Table I) reuse it instead of paying
         // for the cache simulation again.
-        let characterized = training_set()?;
+        let characterized = characterize_on(pool)?;
         let training =
             collect_training_data_from(&TrainingConfig::default(), &table, &characterized)?;
         let power_model = train_power_model(&training)?;
@@ -100,4 +126,26 @@ impl ExperimentContext {
     pub fn spec_models(&self) -> SpecModels {
         SpecModels { power: self.power_model.clone(), perf: self.perf_model_paper() }
     }
+}
+
+/// The 4 loops × 3 footprints training set, characterized as cells of
+/// `pool` and returned in Table-I order, footprints smallest first.
+fn characterize_on(pool: &Pool) -> Result<Vec<CharacterizedLoop>> {
+    // Longest first: a point's cost grows with its footprint, an 8 MB pass
+    // being 32 times a 256 KB one, and at one footprint the random loads of
+    // MLOAD_RAND miss most. So footprints go largest first, and the loops
+    // in reverse Table-I order.
+    let cells: Vec<_> = Footprint::ALL
+        .iter()
+        .rev()
+        .flat_map(|&footprint| {
+            MicroLoop::ALL
+                .iter()
+                .rev()
+                .map(move |&microloop| move || characterize(microloop, footprint))
+        })
+        .collect();
+    let mut characterized = pool.run(cells).into_iter().collect::<Result<Vec<_>>>()?;
+    characterized.sort_by_key(|c| (c.microloop, c.footprint));
+    Ok(characterized)
 }

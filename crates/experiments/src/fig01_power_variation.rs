@@ -90,11 +90,11 @@ pub fn run(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::{test_ctx, test_pool};
 
     #[test]
     fn range_exceeds_35_percent_of_peak() {
-        let ctx = ExperimentContext::train().unwrap();
-        let out = run(&ctx, &Pool::new(4)).unwrap();
+        let out = run(test_ctx(), test_pool()).unwrap();
         assert_eq!(out.tables[0].1.len(), 26);
         // The note carries the suite range; re-derive the check from the
         // per-benchmark table to avoid string parsing.

@@ -302,6 +302,12 @@ impl Pool {
     }
 }
 
+/// The CLI's default `--jobs`: the host's available parallelism, or 1 when
+/// it cannot be read.
+pub fn default_jobs() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
 /// Renders a panic payload (almost always a `&str` or `String`).
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(message) = payload.downcast_ref::<&str>() {

@@ -8,9 +8,12 @@
 //! (fig2), a pooled measurement curve reused by two tables (tab3/tab4),
 //! and a nested `median_run` fan under an outer fan (fig5). One more test
 //! runs the whole suite and checks it against the committed
-//! `results/*.csv`.
+//! `results/*.csv`. Training on the pool must give the same models, bit
+//! for bit, at every width.
 
 use aapm_experiments::{run_by_id, run_suite, ExperimentContext, Pool, RunObserver};
+use aapm_workloads::footprint::Footprint;
+use aapm_workloads::loops::MicroLoop;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
@@ -25,6 +28,81 @@ fn rendered(pool: &Pool, id: &str) -> Vec<String> {
         .iter()
         .map(ToString::to_string)
         .collect()
+}
+
+/// Every number a trained context holds, as bits, labelled by what it
+/// belongs to: the characterized loops, the training points, the power
+/// coefficients and the eq.-3 fit.
+fn training_bits(ctx: &ExperimentContext) -> Vec<(String, Vec<u64>)> {
+    let mut out = Vec::new();
+    for c in ctx.characterized() {
+        let (s, p) = (c.measurements, &c.phase);
+        let mut bits = vec![
+            s.accesses,
+            s.l1_hits,
+            s.l2_hits,
+            s.dram_accesses,
+            s.prefetches_issued,
+            s.prefetch_dram_fills,
+            p.instructions(),
+        ];
+        bits.extend(
+            [
+                s.mean_dram_latency_ns,
+                p.core_cpi(),
+                p.decode_ratio(),
+                p.fp_fraction(),
+                p.mem_fraction(),
+                p.l1_mpi(),
+                p.l2_mpi(),
+                p.overlap(),
+                p.activity(),
+                p.branch_fraction(),
+                p.mispredict_rate(),
+                p.prefetch_per_inst(),
+            ]
+            .map(f64::to_bits),
+        );
+        out.push((c.name(), bits));
+    }
+    for point in ctx.training().points() {
+        let mut bits: Vec<u64> =
+            point.samples.iter().flat_map(|&(dpc, watts)| [dpc, watts]).map(f64::to_bits).collect();
+        bits.extend(
+            [point.mean_ipc, point.mean_dcu, point.mean_dpc, point.mean_power].map(f64::to_bits),
+        );
+        out.push((format!("{} at {}", point.workload, point.pstate), bits));
+    }
+    for (pstate, c) in ctx.power_model().iter() {
+        out.push((format!("power at {pstate}"), vec![c.alpha.to_bits(), c.beta.to_bits()]));
+    }
+    let fit = ctx.perf_fit();
+    out.push((
+        "eq. 3".to_owned(),
+        [fit.params.dcu_threshold, fit.params.exponent, fit.mean_relative_error]
+            .map(f64::to_bits)
+            .to_vec(),
+    ));
+    out
+}
+
+/// The pool runs the 12 characterizations longest first and merges them
+/// in that order; putting them back into Table-I order must make training
+/// invisible in every bit of the models, at any width.
+#[test]
+fn training_is_bit_identical_across_widths() {
+    let train = |jobs| training_bits(&ExperimentContext::train_on(&Pool::new(jobs)).unwrap());
+    let serial = train(1);
+    let table_i: Vec<String> = MicroLoop::ALL
+        .iter()
+        .flat_map(|l| Footprint::ALL.iter().map(move |f| format!("{}-{f}", l.name())))
+        .collect();
+    let names: Vec<&String> = serial.iter().take(12).map(|(name, _)| name).collect();
+    assert_eq!(names, table_i.iter().collect::<Vec<_>>(), "characterized in Table-I order");
+    for jobs in [2, 8] {
+        assert!(train(jobs) == serial, "training at pool width {jobs} differs from width 1");
+    }
+    assert!(training_bits(ctx()) == serial, "`train()` differs from `train_on` at width 1");
 }
 
 #[test]

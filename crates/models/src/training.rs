@@ -14,7 +14,7 @@ use aapm_platform::error::Result;
 use aapm_platform::events::HardwareEvent;
 use aapm_platform::machine::Machine;
 use aapm_platform::pstate::{PStateId, PStateTable};
-use aapm_platform::units::Seconds;
+use aapm_platform::units::{MegaHertz, Seconds};
 use aapm_platform::MachineConfig;
 use aapm_telemetry::daq::{DaqConfig, PowerDaq};
 use aapm_telemetry::pmc::PmcDriver;
@@ -208,13 +208,21 @@ pub struct PerfFitReport {
     pub mean_relative_error: f64,
 }
 
-/// Scores a candidate eq.-3 parameterization on the training data: mean
-/// relative IPC-projection error over all workloads and ordered p-state
-/// pairs.
-fn perf_model_error(data: &TrainingData, params: PerfModelParams) -> Option<f64> {
-    let model = PerfModel::new(params);
-    let mut error_sum = 0.0;
-    let mut count = 0usize;
+/// One IPC projection the eq.-3 fit scores: a workload's IPC and DCU
+/// measured at one p-state, projected to another p-state of the same
+/// workload and compared with the IPC measured there.
+struct Projection {
+    ipc: f64,
+    dcu: f64,
+    from: MegaHertz,
+    to: MegaHertz,
+    measured_ipc: f64,
+}
+
+/// Every same-workload, ordered p-state pair of the training data, in the
+/// order [`perf_model_error`] sums them.
+fn projections(data: &TrainingData) -> Vec<Projection> {
+    let mut out = Vec::new();
     for point_from in data.points() {
         if point_from.mean_ipc <= 0.0 {
             continue;
@@ -228,27 +236,38 @@ fn perf_model_error(data: &TrainingData, params: PerfModelParams) -> Option<f64>
                 continue;
             }
             let Ok(to_state) = data.table.get(point_to.pstate) else { continue };
-            let predicted = model.project_ipc(
-                point_from.mean_ipc,
-                point_from.mean_dcu,
-                from_state.frequency(),
-                to_state.frequency(),
-            );
-            error_sum += (predicted - point_to.mean_ipc).abs() / point_to.mean_ipc;
-            count += 1;
+            out.push(Projection {
+                ipc: point_from.mean_ipc,
+                dcu: point_from.mean_dcu,
+                from: from_state.frequency(),
+                to: to_state.frequency(),
+                measured_ipc: point_to.mean_ipc,
+            });
         }
     }
-    (count > 0).then(|| error_sum / count as f64)
+    out
+}
+
+/// Scores a candidate eq.-3 parameterization: mean relative
+/// IPC-projection error over `projections`.
+fn perf_model_error(projections: &[Projection], params: PerfModelParams) -> Option<f64> {
+    let model = PerfModel::new(params);
+    let mut error_sum = 0.0;
+    for p in projections {
+        let predicted = model.project_ipc(p.ipc, p.dcu, p.from, p.to);
+        error_sum += (predicted - p.measured_ipc).abs() / p.measured_ipc;
+    }
+    (!projections.is_empty()).then(|| error_sum / projections.len() as f64)
 }
 
 /// Golden-section refinement of the exponent within `[lo, hi]`, holding the
 /// threshold fixed. The error surface is piecewise-smooth in the exponent
 /// for a fixed classification, so the bracket from the grid search refines
 /// quickly.
-fn refine_exponent(data: &TrainingData, threshold: f64, lo: f64, hi: f64) -> f64 {
+fn refine_exponent(projections: &[Projection], threshold: f64, lo: f64, hi: f64) -> f64 {
     const GOLDEN: f64 = 0.618_033_988_749_894_8;
     let score = |exponent: f64| {
-        perf_model_error(data, PerfModelParams { dcu_threshold: threshold, exponent })
+        perf_model_error(projections, PerfModelParams { dcu_threshold: threshold, exponent })
             .unwrap_or(f64::INFINITY)
     };
     let (mut a, mut b) = (lo, hi);
@@ -284,6 +303,7 @@ fn refine_exponent(data: &TrainingData, threshold: f64, lo: f64, hi: f64) -> f64
 /// candidate model projects the IPC measured at `from` to `to` and is
 /// scored on mean relative error against the IPC actually measured at `to`.
 pub fn train_perf_model(data: &TrainingData) -> PerfFitReport {
+    let projections = projections(data);
     let mut best = PerfFitReport {
         params: PerfModelParams { dcu_threshold: 1.0, exponent: 0.8 },
         mean_relative_error: f64::INFINITY,
@@ -293,7 +313,7 @@ pub fn train_perf_model(data: &TrainingData) -> PerfFitReport {
         for exponent_step in 0..=50 {
             let exponent = exponent_step as f64 * 0.02; // 0 … 1
             let params = PerfModelParams { dcu_threshold: threshold, exponent };
-            let Some(mean) = perf_model_error(data, params) else { continue };
+            let Some(mean) = perf_model_error(&projections, params) else { continue };
             if mean < best.mean_relative_error {
                 best = PerfFitReport { params, mean_relative_error: mean };
             }
@@ -301,7 +321,7 @@ pub fn train_perf_model(data: &TrainingData) -> PerfFitReport {
     }
     // Refine the exponent within the grid cell around the optimum.
     let refined_exponent = refine_exponent(
-        data,
+        &projections,
         best.params.dcu_threshold,
         (best.params.exponent - 0.02).max(0.0),
         (best.params.exponent + 0.02).min(1.0),
@@ -310,7 +330,7 @@ pub fn train_perf_model(data: &TrainingData) -> PerfFitReport {
         dcu_threshold: best.params.dcu_threshold,
         exponent: refined_exponent,
     };
-    if let Some(error) = perf_model_error(data, refined) {
+    if let Some(error) = perf_model_error(&projections, refined) {
         if error < best.mean_relative_error {
             best = PerfFitReport { params: refined, mean_relative_error: error };
         }

@@ -111,9 +111,8 @@ impl CacheStats {
 /// Set contents live in two flat arrays rather than per-set `Vec`s: `tags`
 /// holds `ways` slots per set, MRU-first within the occupied prefix whose
 /// length is `lens[set]`. Characterization pushes hundreds of millions of
-/// accesses through this loop, and the flat layout keeps it to one indexed
-/// slice scan plus a `copy_within` rotation — no pointer chasing, no
-/// allocator traffic.
+/// accesses through this loop, and the flat layout keeps it to one pass
+/// over one set's slots — no pointer chasing, no allocator traffic.
 ///
 /// # Examples
 ///
@@ -136,6 +135,8 @@ pub struct Cache {
     stats: CacheStats,
     line_shift: u32,
     set_mask: u64,
+    /// `log2(sets)`: a line's tag is its number above the set-index bits.
+    set_bits: u32,
 }
 
 impl Cache {
@@ -155,6 +156,7 @@ impl Cache {
             stats: CacheStats::default(),
             line_shift: geometry.line_bytes.trailing_zeros(),
             set_mask: (sets as u64) - 1,
+            set_bits: sets.trailing_zeros(),
         })
     }
 
@@ -180,41 +182,42 @@ impl Cache {
     }
 
     /// Accesses the byte address `addr`, returning hit or miss.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> AccessResult {
-        self.access_with_eviction(addr).0
+        self.access_line(addr >> self.line_shift)
     }
 
-    /// Accesses `addr` and also reports the address of any evicted line
-    /// (line-aligned), for inclusive multi-level modelling.
-    pub fn access_with_eviction(&mut self, addr: u64) -> (AccessResult, Option<u64>) {
-        let line = addr >> self.line_shift;
+    /// Accesses line number `line`, the byte address shifted right by
+    /// `log2(line_bytes)`, returning hit or miss.
+    #[inline]
+    pub(crate) fn access_line(&mut self, line: u64) -> AccessResult {
         let set_index = (line & self.set_mask) as usize;
-        let tag = line >> self.set_mask.count_ones();
+        let tag = line >> self.set_bits;
         let ways = self.geometry.ways;
         let len = self.lens[set_index] as usize;
         let set = &mut self.tags[set_index * ways..(set_index + 1) * ways];
-
-        if let Some(pos) = set[..len].iter().position(|&t| t == tag) {
-            // Promote to MRU: slide [0, pos) down one slot.
-            set.copy_within(0..pos, 1);
-            set[0] = tag;
+        if len > 0 && set[0] == tag {
             self.stats.hits += 1;
-            return (AccessResult::Hit, None);
+            return AccessResult::Hit;
         }
-
-        // Miss: the LRU slot falls off a full set, everything else slides
-        // down one, and the new tag lands in the MRU slot.
-        let evicted_tag = if len == ways { Some(set[ways - 1]) } else { None };
-        set.copy_within(0..len.min(ways - 1), 1);
-        set[0] = tag;
+        // One pass MRU→LRU slides each resident tag down a slot and carries
+        // the one it displaces, so finding the tag also promotes it to MRU.
+        let mut carry = tag;
+        for slot in &mut set[..len] {
+            carry = std::mem::replace(slot, carry);
+            if carry == tag {
+                self.stats.hits += 1;
+                return AccessResult::Hit;
+            }
+        }
+        // Miss: the new tag is MRU and the old LRU tag, still carried, takes
+        // the next free slot or falls off a full set.
         if len < ways {
+            set[len] = carry;
             self.lens[set_index] = (len + 1) as u32;
         }
         self.stats.misses += 1;
-        let evicted_addr = evicted_tag.map(|t| {
-            ((t << self.set_mask.count_ones()) | set_index as u64) << self.line_shift
-        });
-        (AccessResult::Miss, evicted_addr)
+        AccessResult::Miss
     }
 
     /// Returns `true` if the line containing `addr` is resident, without
@@ -222,7 +225,7 @@ impl Cache {
     pub fn probe(&self, addr: u64) -> bool {
         let line = addr >> self.line_shift;
         let set_index = (line & self.set_mask) as usize;
-        let tag = line >> self.set_mask.count_ones();
+        let tag = line >> self.set_bits;
         let ways = self.geometry.ways;
         let len = self.lens[set_index] as usize;
         self.tags[set_index * ways..set_index * ways + len].contains(&tag)
@@ -274,19 +277,18 @@ mod tests {
     fn lru_evicts_least_recently_used() {
         let mut c = small_cache();
         // Three lines mapping to set 0 in a 2-way cache: set stride is
-        // 4 sets × 64 B = 256 B.
-        let a = 0x000;
+        // 4 sets × 64 B = 256 B. The offset within a line does not matter.
+        let a = 0x010;
         let b = 0x100;
-        let d = 0x200;
+        let d = 0x23f;
         c.access(a);
         c.access(b);
         c.access(a); // a is now MRU, b is LRU
-        let (result, evicted) = c.access_with_eviction(d);
-        assert!(result.is_miss());
-        assert_eq!(evicted, Some(b), "b was least recently used");
+        assert!(c.access(d).is_miss());
         assert!(c.probe(a));
-        assert!(!c.probe(b));
-        assert!(c.probe(d));
+        assert!(!c.probe(b), "b was least recently used");
+        assert!(!c.probe(0x13f), "the whole of b's line left");
+        assert!(c.probe(0x200) && c.probe(d));
     }
 
     #[test]
@@ -343,14 +345,5 @@ mod tests {
     fn miss_ratio_handles_empty_stats() {
         let stats = CacheStats::default();
         assert_eq!(stats.miss_ratio(), 0.0);
-    }
-
-    #[test]
-    fn eviction_returns_line_aligned_address() {
-        let mut c = small_cache();
-        c.access(0x010); // line 0x000
-        c.access(0x110); // line 0x100, same set
-        let (_, evicted) = c.access_with_eviction(0x210); // evicts line 0x000
-        assert_eq!(evicted, Some(0x000));
     }
 }

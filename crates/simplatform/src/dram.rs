@@ -109,12 +109,27 @@ pub struct Dram {
     timings: DramTimings,
     open_rows: Vec<Option<u64>>,
     stats: DramStats,
+    /// `log2(row_bytes)` when the row size is a power of two, so a row
+    /// number is a shift instead of a division.
+    row_shift: Option<u32>,
+    /// `banks − 1` when the bank count is a power of two, so a bank is a
+    /// mask instead of a remainder.
+    bank_mask: Option<usize>,
 }
 
 impl Dram {
     /// Creates a DRAM model with all banks idle.
     pub fn new(timings: DramTimings) -> Self {
-        Dram { open_rows: vec![None; timings.banks], timings, stats: DramStats::default() }
+        Dram {
+            open_rows: vec![None; timings.banks],
+            timings,
+            stats: DramStats::default(),
+            row_shift: timings
+                .row_bytes
+                .is_power_of_two()
+                .then(|| timings.row_bytes.trailing_zeros()),
+            bank_mask: timings.banks.is_power_of_two().then(|| timings.banks - 1),
+        }
     }
 
     /// The timing parameters.
@@ -136,10 +151,17 @@ impl Dram {
     }
 
     /// Accesses `addr` and returns the latency in nanoseconds.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> f64 {
-        let row = addr / self.timings.row_bytes;
+        let row = match self.row_shift {
+            Some(shift) => addr >> shift,
+            None => addr / self.timings.row_bytes,
+        };
         // Interleave consecutive rows across banks.
-        let bank = (row as usize) % self.timings.banks;
+        let bank = match self.bank_mask {
+            Some(mask) => row as usize & mask,
+            None => row as usize % self.timings.banks,
+        };
         let (outcome, latency) = match self.open_rows[bank] {
             Some(open) if open == row => (RowBufferOutcome::Hit, self.timings.row_hit_ns),
             Some(_) => (RowBufferOutcome::Conflict, self.timings.row_conflict_ns),

@@ -59,6 +59,7 @@ impl PrefetchEngine {
     /// Observes a demand access to `line`; returns the inclusive line range
     /// to prefetch, if any. A range (not a collected list) keeps this on
     /// the characterization hot path allocation-free.
+    #[inline]
     fn on_access(&mut self, line: u64) -> Option<(u64, u64)> {
         match self.last_line {
             Some(last) if line == last => return None, // same line, no news
@@ -155,7 +156,8 @@ pub struct MemoryHierarchy {
     dram: Dram,
     stats: HierarchyStats,
     prefetcher: Option<PrefetchEngine>,
-    line_bytes: u64,
+    /// `log2` of the L1 line size: the prefetcher streams L1 lines.
+    line_shift: u32,
 }
 
 impl MemoryHierarchy {
@@ -166,14 +168,13 @@ impl MemoryHierarchy {
     ///
     /// Propagates cache-geometry validation failures.
     pub fn new(l1: CacheGeometry, l2: CacheGeometry, dram: DramTimings) -> Result<Self> {
-        let line_bytes = l1.line_bytes as u64;
         Ok(MemoryHierarchy {
             l1: Cache::new(l1)?,
             l2: Cache::new(l2)?,
             dram: Dram::new(dram),
             stats: HierarchyStats::default(),
             prefetcher: None,
-            line_bytes,
+            line_shift: l1.line_bytes.trailing_zeros(),
         })
     }
 
@@ -194,9 +195,14 @@ impl MemoryHierarchy {
     }
 
     /// Drives one demand access through the hierarchy.
+    ///
+    /// L1 and the prefetcher work on the L1 line number, L2 on its own
+    /// line size, so the two levels' lines may differ.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> ServiceLevel {
         self.stats.accesses += 1;
-        let level = if !self.l1.access(addr).is_miss() {
+        let line = addr >> self.line_shift;
+        let level = if !self.l1.access_line(line).is_miss() {
             self.stats.l1_hits += 1;
             ServiceLevel::L1
         } else if !self.l2.access(addr).is_miss() {
@@ -209,25 +215,25 @@ impl MemoryHierarchy {
             self.stats.mean_dram_latency_ns += (latency - self.stats.mean_dram_latency_ns) / n;
             ServiceLevel::Dram
         };
-        self.run_prefetcher(addr);
+        self.run_prefetcher(line);
         level
     }
 
     /// Feeds the prefetch engine with the demand line stream and installs
     /// any prefetched lines into both cache levels.
-    fn run_prefetcher(&mut self, addr: u64) {
+    #[inline]
+    fn run_prefetcher(&mut self, line: u64) {
         let Some(engine) = self.prefetcher.as_mut() else { return };
-        let line = addr / self.line_bytes;
         let Some((start, end)) = engine.on_access(line) else { return };
         self.stats.prefetches_issued += end - start + 1;
         for target_line in start..=end {
-            let target_addr = target_line * self.line_bytes;
+            let target_addr = target_line << self.line_shift;
             // Fill L2 first; if absent there, the fill comes from DRAM.
             if self.l2.access(target_addr).is_miss() {
                 self.dram.access(target_addr);
                 self.stats.prefetch_dram_fills += 1;
             }
-            self.l1.access(target_addr);
+            self.l1.access_line(target_line);
         }
     }
 
@@ -267,6 +273,9 @@ impl MemoryHierarchy {
         }
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -221,6 +221,34 @@ mod tests {
     }
 
     #[test]
+    fn training_points_are_pinned() {
+        // FNV-1a over every hierarchy statistic of all 12 points and the
+        // three miss and prefetch rates derived from them. A change to any
+        // hit, miss, eviction or DRAM row outcome of the cache simulation
+        // moves it, and with it every trained model and committed CSV.
+        let hash = training_set()
+            .unwrap()
+            .iter()
+            .flat_map(|c| {
+                let s = c.measurements;
+                [
+                    s.accesses,
+                    s.l1_hits,
+                    s.l2_hits,
+                    s.dram_accesses,
+                    s.mean_dram_latency_ns.to_bits(),
+                    s.prefetches_issued,
+                    s.prefetch_dram_fills,
+                    c.phase.l1_mpi().to_bits(),
+                    c.phase.l2_mpi().to_bits(),
+                    c.phase.prefetch_per_inst().to_bits(),
+                ]
+            })
+            .fold(0xCBF2_9CE4_8422_2325, |h, bits| (h ^ bits).wrapping_mul(0x0000_0100_0000_01B3));
+        assert_eq!(hash, 0xC8A5_EB97_389D_F172, "training points moved: {hash:#018X}");
+    }
+
+    #[test]
     fn budget_flows_into_phase() {
         let c = characterize_with_budget(MicroLoop::Daxpy, Footprint::L1, 1234).unwrap();
         assert_eq!(c.phase.instructions(), 1234);
