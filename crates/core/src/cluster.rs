@@ -30,9 +30,7 @@
 //! a real [`PerformanceMaximizer`] — on every lane, folds each window's
 //! minimum headroom per node, and at the cluster cadence feeds those into
 //! the tree and pushes the resulting caps back down as
-//! [`GovernorCommand::SetPowerLimit`] commands. [`ClusterSpec`] is the
-//! serializable description (spec kind `"cluster"`), following the
-//! hand-rolled JSON conventions of [`crate::spec`].
+//! [`GovernorCommand::SetPowerLimit`] commands.
 
 use aapm_models::power_model::PowerModel;
 use aapm_platform::error::{PlatformError, Result};
@@ -44,7 +42,6 @@ use aapm_telemetry::faults::FaultPlan;
 use aapm_telemetry::metrics::Metrics;
 
 use crate::governor::{Governor, GovernorCommand};
-use crate::json::Json;
 use crate::limits::PowerLimit;
 use crate::pm::PerformanceMaximizer;
 use crate::runtime::{NodeLoop, SimulationConfig};
@@ -393,167 +390,6 @@ impl ClusterGovernor {
         self.reallocations += 1;
         self.tree.caps()
     }
-}
-
-/// Serializable cluster description — spec kind `"cluster"`, following
-/// the [`crate::spec`] JSON conventions (fixed key order out, strict
-/// recursive-descent parse in, round-trip identity).
-///
-/// # Examples
-///
-/// ```
-/// use aapm::cluster::{ClusterSpec, NodeSpec, RackSpec};
-///
-/// let spec = ClusterSpec {
-///     datacenter_w: 40.0,
-///     reserve_w: 0.5,
-///     racks: vec![RackSpec {
-///         ceiling_w: 25.0,
-///         nodes: vec![NodeSpec { floor_w: 6.0, ceiling_w: 24.5 }],
-///     }],
-/// };
-/// let json = spec.to_json();
-/// assert!(json.starts_with("{\"kind\":\"cluster\""));
-/// assert_eq!(ClusterSpec::from_json(&json)?, spec);
-/// let governor = spec.build()?;
-/// assert_eq!(governor.tree().node_count(), 1);
-/// # Ok::<(), aapm_platform::error::PlatformError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterSpec {
-    /// Datacenter-level budget in watts.
-    pub datacenter_w: f64,
-    /// Per-node reserve margin in watts.
-    pub reserve_w: f64,
-    /// Rack configurations.
-    pub racks: Vec<RackSpec>,
-}
-
-impl ClusterSpec {
-    /// The `"kind"` discriminator of the JSON form.
-    pub const KIND: &'static str = "cluster";
-
-    /// Builds the live governor this spec describes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`BudgetTree::new`] and reserve validation.
-    pub fn build(&self) -> Result<ClusterGovernor> {
-        ClusterGovernor::with_reserve(BudgetTree::new(self.datacenter_w, &self.racks)?, self.reserve_w)
-    }
-
-    /// Renders the spec as one line of JSON with a fixed key order.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(64);
-        let _ = write!(
-            out,
-            "{{\"kind\":\"{}\",\"datacenter_w\":{},\"reserve_w\":{},\"racks\":[",
-            Self::KIND,
-            self.datacenter_w,
-            self.reserve_w
-        );
-        for (r, rack) in self.racks.iter().enumerate() {
-            if r > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"ceiling_w\":{},\"nodes\":[", rack.ceiling_w);
-            for (n, node) in rack.nodes.iter().enumerate() {
-                if n > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"floor_w\":{},\"ceiling_w\":{}}}",
-                    node.floor_w, node.ceiling_w
-                );
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Parses a spec from its JSON form.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlatformError::InvalidConfig`] on malformed JSON, a
-    /// wrong `"kind"`, or missing/extra/mistyped keys.
-    pub fn from_json(text: &str) -> Result<Self> {
-        let value = crate::json::parse(text).map_err(invalid)?;
-        ClusterSpec::from_value(&value)
-    }
-
-    /// Parses a spec from an already-parsed [`Json`] value.
-    ///
-    /// # Errors
-    ///
-    /// As [`ClusterSpec::from_json`].
-    pub fn from_value(value: &Json) -> Result<Self> {
-        let fields = expect_object(value, "cluster spec")?;
-        expect_keys(fields, "cluster spec", &["kind", "datacenter_w", "reserve_w", "racks"])?;
-        match find(fields, "kind") {
-            Some(Json::String(kind)) if kind == Self::KIND => {}
-            Some(Json::String(kind)) => {
-                return Err(invalid(format!("expected kind \"cluster\", got \"{kind}\"")));
-            }
-            _ => return Err(invalid("cluster spec requires a string \"kind\"".to_owned())),
-        }
-        let datacenter_w = expect_number(fields, "cluster spec", "datacenter_w")?;
-        let reserve_w = expect_number(fields, "cluster spec", "reserve_w")?;
-        let Some(Json::Array(racks_json)) = find(fields, "racks") else {
-            return Err(invalid("cluster spec requires an array \"racks\"".to_owned()));
-        };
-        let mut racks = Vec::with_capacity(racks_json.len());
-        for rack_value in racks_json {
-            let rack_fields = expect_object(rack_value, "rack")?;
-            expect_keys(rack_fields, "rack", &["ceiling_w", "nodes"])?;
-            let ceiling_w = expect_number(rack_fields, "rack", "ceiling_w")?;
-            let Some(Json::Array(nodes_json)) = find(rack_fields, "nodes") else {
-                return Err(invalid("rack requires an array \"nodes\"".to_owned()));
-            };
-            let mut nodes = Vec::with_capacity(nodes_json.len());
-            for node_value in nodes_json {
-                let node_fields = expect_object(node_value, "node")?;
-                expect_keys(node_fields, "node", &["floor_w", "ceiling_w"])?;
-                nodes.push(NodeSpec {
-                    floor_w: expect_number(node_fields, "node", "floor_w")?,
-                    ceiling_w: expect_number(node_fields, "node", "ceiling_w")?,
-                });
-            }
-            racks.push(RackSpec { ceiling_w, nodes });
-        }
-        Ok(ClusterSpec { datacenter_w, reserve_w, racks })
-    }
-}
-
-fn expect_object<'a>(value: &'a Json, what: &str) -> Result<&'a [(String, Json)]> {
-    match value {
-        Json::Object(fields) => Ok(fields),
-        _ => Err(invalid(format!("{what} must be a JSON object"))),
-    }
-}
-
-fn find<'a>(fields: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn expect_number(fields: &[(String, Json)], what: &str, key: &str) -> Result<f64> {
-    match find(fields, key) {
-        Some(Json::Number(v)) => Ok(*v),
-        Some(_) => Err(invalid(format!("\"{key}\" must be a number in a {what}"))),
-        None => Err(invalid(format!("{what} requires \"{key}\""))),
-    }
-}
-
-fn expect_keys(fields: &[(String, Json)], what: &str, keys: &[&str]) -> Result<()> {
-    for (k, _) in fields {
-        if !keys.contains(&k.as_str()) {
-            return Err(invalid(format!("unexpected key \"{k}\" in a {what}")));
-        }
-    }
-    Ok(())
 }
 
 /// Drives a fleet with one node control loop per node — the session
@@ -906,34 +742,6 @@ mod tests {
             -1.0
         )
         .is_err());
-    }
-
-    #[test]
-    fn cluster_spec_round_trips_and_rejects_junk() {
-        let spec = ClusterSpec { datacenter_w: 60.0, reserve_w: 0.5, racks: two_rack_spec() };
-        let json = spec.to_json();
-        let parsed = ClusterSpec::from_json(&json).unwrap();
-        assert_eq!(parsed, spec);
-        assert_eq!(parsed.to_json(), json, "round trip is an identity");
-        parsed.build().unwrap().tree().assert_invariants();
-
-        assert!(ClusterSpec::from_json("[]").is_err(), "not an object");
-        assert!(ClusterSpec::from_json("{\"kind\":\"pm\",\"datacenter_w\":1,\"reserve_w\":0,\"racks\":[]}").is_err(), "wrong kind");
-        assert!(ClusterSpec::from_json("{\"kind\":\"cluster\",\"reserve_w\":0,\"racks\":[]}").is_err(), "missing budget");
-        assert!(
-            ClusterSpec::from_json(
-                "{\"kind\":\"cluster\",\"datacenter_w\":1,\"reserve_w\":0,\"racks\":[],\"x\":1}"
-            )
-            .is_err(),
-            "extra key"
-        );
-        assert!(
-            ClusterSpec::from_json(
-                "{\"kind\":\"cluster\",\"datacenter_w\":1,\"reserve_w\":0,\"racks\":[{\"ceiling_w\":1,\"nodes\":[{\"floor_w\":true,\"ceiling_w\":2}]}]}"
-            )
-            .is_err(),
-            "mistyped number"
-        );
     }
 
     /// Strategy: a valid tree (floors fit under every budget) plus a

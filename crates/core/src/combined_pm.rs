@@ -13,8 +13,8 @@
 //!
 //! choosing the highest duty that fits. The gated floor models the
 //! leakage-only draw while the clock is stopped (the governor cannot see
-//! the platform's leakage split, so it is a configured estimate, like the
-//! guardband).
+//! the platform's leakage split, so it is a fixed estimate of 1.5 W, like
+//! the guardband).
 
 use aapm_platform::events::HardwareEvent;
 use aapm_platform::throttle::ThrottleLevel;
@@ -24,33 +24,21 @@ use aapm_models::power_model::PowerModel;
 use crate::governor::{Governor, SampleContext};
 use crate::layer::GovernorLayer;
 use crate::limits::PowerLimit;
-use crate::pm::{PerformanceMaximizer, PmConfig};
+use crate::pm::PerformanceMaximizer;
+
+/// Estimated draw while the clock is gated (leakage-only floor), in watts.
+const GATED_FLOOR_W: f64 = 1.5;
 
 /// PM with a clock-modulation deep-cap extension.
 #[derive(Debug, Clone)]
 pub struct CombinedPm {
     inner: PerformanceMaximizer,
-    /// Estimated draw while the clock is gated (leakage-only floor).
-    gated_floor: Watts,
 }
 
 impl CombinedPm {
-    /// Creates combined PM with the default 1.5 W gated-floor estimate.
+    /// Creates combined PM with the 1.5 W gated-floor estimate.
     pub fn new(model: PowerModel, limit: PowerLimit) -> Self {
-        CombinedPm::with_gated_floor(model, limit, Watts::new(1.5))
-    }
-
-    /// Creates combined PM with an explicit gated-floor estimate.
-    pub fn with_gated_floor(model: PowerModel, limit: PowerLimit, gated_floor: Watts) -> Self {
-        CombinedPm {
-            inner: PerformanceMaximizer::with_config(model, limit, PmConfig::default()),
-            gated_floor,
-        }
-    }
-
-    /// The configured gated-floor estimate.
-    pub fn gated_floor(&self) -> Watts {
-        self.gated_floor
+        CombinedPm { inner: PerformanceMaximizer::new(model, limit) }
     }
 
     /// The active power limit.
@@ -61,7 +49,7 @@ impl CombinedPm {
     /// Estimated power at the lowest p-state under `duty` modulation.
     fn gated_estimate(&self, ctx: &SampleContext<'_>, dpc: f64, duty: f64) -> Option<Watts> {
         let p0 = self.inner.estimate_at(ctx, dpc, ctx.table.lowest())?;
-        Some(p0 * duty + self.gated_floor * (1.0 - duty))
+        Some(p0 * duty + Watts::new(GATED_FLOOR_W) * (1.0 - duty))
     }
 }
 

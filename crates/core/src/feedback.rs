@@ -8,15 +8,21 @@
 //! multiplies every estimate by that correction before comparing against
 //! the limit. Workloads the static model underestimates are throttled
 //! harder; well-modelled workloads are unaffected.
+//!
+//! The correction bends the estimate, not the control law: the layer hands
+//! it to PM's own decision ([`PerformanceMaximizer`]), which keeps PM's
+//! stale-counter hold, raise window and command handling.
 
-use aapm_platform::events::HardwareEvent;
 use aapm_platform::pstate::PStateId;
-use aapm_platform::units::Watts;
 use aapm_models::power_model::PowerModel;
 
-use crate::governor::{Governor, GovernorCommand, SampleContext};
+use crate::governor::{Governor, SampleContext};
+use crate::layer::GovernorLayer;
 use crate::limits::PowerLimit;
-use crate::pm::{PerformanceMaximizer, PmConfig};
+use crate::pm::PerformanceMaximizer;
+
+/// EWMA smoothing factor of the correction, per 10 ms sample.
+const SMOOTHING: f64 = 0.2;
 
 /// PM with measured-power feedback correction.
 #[derive(Debug, Clone)]
@@ -24,28 +30,12 @@ pub struct FeedbackPm {
     inner: PerformanceMaximizer,
     /// EWMA of measured/estimated power at the current state.
     correction: f64,
-    /// EWMA smoothing factor per 10 ms sample.
-    smoothing: f64,
-    /// Consecutive raise-agreeing samples (PM's asymmetric policy).
-    raise_streak: usize,
-    /// Most recent DPC taken from a fresh counter sample.
-    last_dpc: Option<f64>,
-    /// Consecutive stale counter samples seen.
-    stale_streak: usize,
 }
 
 impl FeedbackPm {
-    /// Creates feedback-PM with the default guardband, raise window, and a
-    /// smoothing factor of 0.2 per sample.
+    /// Creates feedback-PM with PM's default guardband and raise window.
     pub fn new(model: PowerModel, limit: PowerLimit) -> Self {
-        FeedbackPm {
-            inner: PerformanceMaximizer::with_config(model, limit, PmConfig::default()),
-            correction: 1.0,
-            smoothing: 0.2,
-            raise_streak: 0,
-            last_dpc: None,
-            stale_streak: 0,
-        }
+        FeedbackPm { inner: PerformanceMaximizer::new(model, limit), correction: 1.0 }
     }
 
     /// The current correction factor (measured / estimated, smoothed).
@@ -67,124 +57,39 @@ impl FeedbackPm {
             return;
         }
         let ratio = (measured.power.watts() / estimate.watts()).clamp(0.5, 2.0);
-        self.correction += self.smoothing * (ratio - self.correction);
-    }
-
-    /// Corrected estimate at `target`: the static-model estimate scaled by
-    /// the observed correction factor (guardband applied by the inner PM).
-    pub fn corrected_estimate(
-        &self,
-        ctx: &SampleContext<'_>,
-        dpc: f64,
-        target: PStateId,
-    ) -> Option<Watts> {
-        let raw = self.inner.estimate_at(ctx, dpc, target)?;
-        Some(raw * self.correction)
+        self.correction += SMOOTHING * (ratio - self.correction);
     }
 }
 
-impl Governor for FeedbackPm {
-    fn name(&self) -> &str {
+impl GovernorLayer for FeedbackPm {
+    fn layer_name(&self) -> &str {
         "pm-feedback"
     }
 
-    fn events(&self) -> Vec<HardwareEvent> {
-        vec![HardwareEvent::InstructionsDecoded]
+    fn inner_governor(&self) -> &dyn Governor {
+        &self.inner
     }
 
-    fn decide(&mut self, ctx: &SampleContext<'_>) -> PStateId {
+    fn inner_governor_mut(&mut self) -> &mut dyn Governor {
+        &mut self.inner
+    }
+
+    fn layer_decide(&mut self, ctx: &SampleContext<'_>) -> PStateId {
         self.update_correction(ctx);
-        // Same stale-counter degradation as plain PM: hold the last fresh
-        // DPC for a bounded window (lower-only), then fail safe downward.
-        let dpc = if ctx.counters.is_fresh() {
-            self.stale_streak = 0;
-            let dpc = ctx.counters.dpc().unwrap_or(0.0);
-            self.last_dpc = Some(dpc);
-            dpc
-        } else {
-            self.stale_streak += 1;
-            match self.last_dpc {
-                Some(dpc) if self.stale_streak <= self.inner.config().hold_samples => {
-                    let candidate = self.stale_candidate(ctx, dpc);
-                    if candidate < ctx.current {
-                        self.raise_streak = 0;
-                        return candidate;
-                    }
-                    return ctx.current;
-                }
-                _ => {
-                    self.raise_streak = 0;
-                    return ctx.table.next_lower(ctx.current).unwrap_or(ctx.table.lowest());
-                }
-            }
-        };
-        let limit = self.inner.limit().watts();
-        // Same asymmetric control as PM, but on corrected estimates: find
-        // the highest state fitting under the limit.
-        let mut candidate = ctx.table.lowest();
-        for (id, _) in ctx.table.iter_descending() {
-            if let Some(estimate) = self.corrected_estimate(ctx, dpc, id) {
-                if estimate <= limit {
-                    candidate = id;
-                    break;
-                }
-            }
-        }
-        // Reuse the inner PM's streak bookkeeping by delegating the
-        // raise/lower policy: lower immediately, raise only on a full
-        // streak. The inner PM's own candidate computation is bypassed.
-        self.apply_asymmetric_policy(ctx.current, candidate)
-    }
-
-    fn command(&mut self, command: GovernorCommand) {
-        self.inner.command(command);
-    }
-}
-
-impl FeedbackPm {
-    /// Highest state fitting under the limit for a held DPC (used only on
-    /// stale samples, where raising is forbidden anyway).
-    fn stale_candidate(&self, ctx: &SampleContext<'_>, dpc: f64) -> PStateId {
-        let limit = self.inner.limit().watts();
-        for (id, _) in ctx.table.iter_descending() {
-            if let Some(estimate) = self.corrected_estimate(ctx, dpc, id) {
-                if estimate <= limit {
-                    return id;
-                }
-            }
-        }
-        ctx.table.lowest()
-    }
-
-    /// PM's lower-immediately / raise-after-streak policy.
-    fn apply_asymmetric_policy(&mut self, current: PStateId, candidate: PStateId) -> PStateId {
-        // Track the streak locally (the inner PM's streak is private to its
-        // own decide path).
-        if candidate < current {
-            self.raise_streak = 0;
-            candidate
-        } else if candidate > current {
-            self.raise_streak += 1;
-            if self.raise_streak >= 10 {
-                self.raise_streak = 0;
-                candidate
-            } else {
-                current
-            }
-        } else {
-            self.raise_streak = 0;
-            current
-        }
+        self.inner.decide_with(ctx, self.correction, false)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::governor::GovernorCommand;
+    use aapm_platform::events::HardwareEvent;
     use aapm_platform::pstate::PStateTable;
-    use aapm_platform::units::Seconds;
+    use aapm_platform::units::{Seconds, Watts};
     use aapm_telemetry::daq::PowerSample;
     use aapm_telemetry::pmc::CounterSample;
+    use proptest::prelude::*;
 
     fn sample(dpc: f64) -> CounterSample {
         let cycles = 20e6;
@@ -265,6 +170,97 @@ mod tests {
             g.decide(&ctx);
         }
         assert!((g.correction() - 1.0).abs() < 0.05, "correction {}", g.correction());
+    }
+
+    /// A limit command restarts the raise window, as it does in PM: nine
+    /// agreeing samples, the command, then one more must not raise.
+    #[test]
+    fn limit_command_restarts_the_raise_window() {
+        let table = PStateTable::pentium_m_755();
+        let limit = PowerLimit::new(30.0).unwrap();
+        let mut g = FeedbackPm::new(PowerModel::paper_table_ii(), limit);
+        let mut pm = PerformanceMaximizer::new(PowerModel::paper_table_ii(), limit);
+        let s = sample(0.5);
+        let ctx = SampleContext {
+            counters: &s,
+            power: None,
+            temperature: None,
+            current: PStateId::new(2),
+            table: &table,
+            queue: None,
+        };
+        for _ in 0..9 {
+            assert_eq!(g.decide(&ctx), PStateId::new(2));
+            assert_eq!(pm.decide(&ctx), PStateId::new(2));
+        }
+        let command = GovernorCommand::SetPowerLimit(PowerLimit::new(25.0).unwrap());
+        g.command(command);
+        pm.command(command);
+        assert_eq!(pm.decide(&ctx), PStateId::new(2));
+        assert_eq!(g.decide(&ctx), PStateId::new(2));
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        Samples { dpc: f64, fresh: bool, repeat: usize },
+        Limit(f64),
+    }
+
+    fn steps() -> impl Strategy<Value = Vec<Step>> {
+        // Two draws in three are fresh reads.
+        let samples = (0.0f64..4.0, 0u32..3, 1usize..16)
+            .prop_map(|(dpc, draw, repeat)| Step::Samples { dpc, fresh: draw > 0, repeat });
+        let limit = (8.0f64..25.0).prop_map(Step::Limit);
+        prop::collection::vec(prop_oneof![6 => samples, 1 => limit], 1..40)
+    }
+
+    proptest! {
+        /// Without power samples the correction stays at 1.0, so feedback-pm
+        /// decides exactly as PM does: through fresh and stale counters, the
+        /// hold window, the fail-safe and limit commands.
+        #[test]
+        fn without_power_samples_decides_as_pm(
+            start in 0usize..8,
+            limit_w in 8.0f64..25.0,
+            steps in steps(),
+        ) {
+            let table = PStateTable::pentium_m_755();
+            let limit = PowerLimit::new(limit_w).unwrap();
+            let mut g = FeedbackPm::new(PowerModel::paper_table_ii(), limit);
+            let mut pm = PerformanceMaximizer::new(PowerModel::paper_table_ii(), limit);
+            let mut current = PStateId::new(start);
+            for step in &steps {
+                match *step {
+                    Step::Limit(watts) => {
+                        let command = GovernorCommand::SetPowerLimit(PowerLimit::new(watts).unwrap());
+                        g.command(command);
+                        pm.command(command);
+                    }
+                    Step::Samples { dpc, fresh, repeat } => {
+                        let cycles = 20e6;
+                        let s = CounterSample {
+                            start: Seconds::ZERO,
+                            end: Seconds::from_millis(10.0),
+                            cycles,
+                            counts: vec![(HardwareEvent::InstructionsDecoded, dpc * cycles, fresh)],
+                        };
+                        for _ in 0..repeat {
+                            let ctx = SampleContext {
+                                counters: &s,
+                                power: None,
+                                temperature: None,
+                                current,
+                                table: &table,
+                                queue: None,
+                            };
+                            let expect = pm.decide(&ctx);
+                            prop_assert_eq!(g.decide(&ctx), expect);
+                            current = expect;
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

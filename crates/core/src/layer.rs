@@ -2,19 +2,26 @@
 //!
 //! Decorator governors ([`crate::watchdog::Watchdog`],
 //! [`crate::thermal_guard::ThermalGuard`], [`crate::phase_pm::PhasePm`],
-//! [`crate::combined_pm::CombinedPm`]) each used to hand-roll the whole
-//! [`Governor`] trait surface just to override one or two methods, and the
-//! copies drifted (notably `install_metrics`: Watchdog cloned the handle
-//! and kept one, ThermalGuard forwarded by move and kept none — so it
-//! could never emit its own events). [`GovernorLayer`] captures the
-//! pattern once: a layer names its inner governor and overrides only the
-//! `layer_*` hooks it interposes on; the blanket `impl Governor for L`
-//! supplies uniform forwarding for everything else.
+//! [`crate::feedback::FeedbackPm`], [`crate::combined_pm::CombinedPm`])
+//! each used to hand-roll the whole [`Governor`] trait surface just to
+//! override one or two methods, and the copies drifted (notably
+//! `install_metrics`: Watchdog cloned the handle and kept one,
+//! ThermalGuard forwarded by move and kept none — so it could never emit
+//! its own events). [`GovernorLayer`] captures the pattern once: a layer
+//! names its inner governor and overrides only the `layer_*` hooks it
+//! interposes on; the blanket `impl Governor for L` supplies uniform
+//! forwarding for everything else.
 //!
 //! The blanket impl fixes the metrics drift by construction: the handle is
 //! always cloned down to the inner governor *and* offered to the layer via
 //! [`GovernorLayer::layer_metrics`], so every level of a stack like
 //! `Watchdog(ThermalGuard(Pm))` records into the same registry.
+//!
+//! The PM-family layers bend PM's decision rather than replace it:
+//! `PhasePm` and `FeedbackPm` decide through the crate-private
+//! `PerformanceMaximizer::decide_with` (a scale on every estimate and a
+//! raise-now flag), and `CombinedPm` keeps PM's decision whole. PM's
+//! stale-counter hold, raise window and command handling exist once.
 
 use aapm_platform::events::HardwareEvent;
 use aapm_platform::pstate::PStateId;

@@ -87,7 +87,7 @@ pub mod throttle_save;
 pub mod watchdog;
 
 pub use baselines::{DemandBasedSwitching, StaticClock, Unconstrained};
-pub use cluster::{BudgetTree, ClusterGovernor, ClusterSpec, FleetPmController, NodeSpec, RackSpec};
+pub use cluster::{BudgetTree, ClusterGovernor, FleetPmController, NodeSpec, RackSpec};
 pub use combined_pm::CombinedPm;
 pub use feedback::FeedbackPm;
 pub use governor::{BoxedGovernor, Governor, GovernorCommand, SampleContext};

@@ -3,16 +3,18 @@
 //! Plain PM waits ten agreeing samples before raising frequency, which
 //! protects against noise but costs 100 ms of performance after every
 //! genuine drop in activity (e.g. each time `ammp` enters a memory-bound
-//! region under a tight limit). `PhasePm` feeds the DPC stream through a
-//! [`PhaseDetector`]: when a *phase change* is detected — a sustained-level
-//! shift, not a noisy sample — the raise window is bypassed and the new
-//! best p-state is taken immediately. Lowering stays immediate, as in PM.
+//! region under a tight limit). `PhasePm` feeds the fresh DPC stream
+//! through a [`PhaseDetector`]: when a *phase change* is detected — a
+//! sustained-level shift, not a noisy sample — the raise window is
+//! bypassed and the new best p-state is taken immediately. Everything
+//! else is PM's own decision ([`PerformanceMaximizer`]): lowering stays
+//! immediate, and a missed PMC read's extrapolated DPC neither feeds the
+//! detector nor raises, under PM's hold and fail-safe.
 //!
 //! The `ablation-phase` experiment quantifies the trade: faster recovery on
 //! phase transitions against the extra violations eager raising risks on
 //! deceptive workloads like `galgel`.
 
-use aapm_platform::events::HardwareEvent;
 use aapm_platform::pstate::PStateId;
 use aapm_models::phase_detect::PhaseDetector;
 use aapm_models::power_model::PowerModel;
@@ -20,50 +22,23 @@ use aapm_models::power_model::PowerModel;
 use crate::governor::{Governor, GovernorCommand, SampleContext};
 use crate::layer::GovernorLayer;
 use crate::limits::PowerLimit;
-use crate::pm::{PerformanceMaximizer, PmConfig};
+use crate::pm::PerformanceMaximizer;
 
 /// PM with phase-change-triggered immediate raises.
 #[derive(Debug, Clone)]
 pub struct PhasePm {
     inner: PerformanceMaximizer,
     detector: PhaseDetector,
-    raise_streak: usize,
-    raise_samples: usize,
 }
 
 impl PhasePm {
-    /// Creates phase-aware PM with the default detector and PM tunables.
+    /// Creates phase-aware PM with the DPC phase detector and PM's default
+    /// tunables.
     pub fn new(model: PowerModel, limit: PowerLimit) -> Self {
-        PhasePm::with_detector(model, limit, PhaseDetector::for_dpc())
-    }
-
-    /// Creates phase-aware PM with an explicit detector.
-    pub fn with_detector(model: PowerModel, limit: PowerLimit, detector: PhaseDetector) -> Self {
-        let config = PmConfig::default();
-        let raise_samples = config.raise_samples;
         PhasePm {
-            inner: PerformanceMaximizer::with_config(model, limit, config),
-            detector,
-            raise_streak: 0,
-            raise_samples,
+            inner: PerformanceMaximizer::new(model, limit),
+            detector: PhaseDetector::for_dpc(),
         }
-    }
-
-    /// The active power limit.
-    pub fn limit(&self) -> PowerLimit {
-        self.inner.limit()
-    }
-
-    /// Highest p-state whose guarded estimate fits under the limit.
-    fn candidate(&self, ctx: &SampleContext<'_>, dpc: f64) -> PStateId {
-        for (id, _) in ctx.table.iter_descending() {
-            if let Some(estimate) = self.inner.estimate_at(ctx, dpc, id) {
-                if estimate <= self.limit().watts() {
-                    return id;
-                }
-            }
-        }
-        ctx.table.lowest()
     }
 }
 
@@ -80,62 +55,51 @@ impl GovernorLayer for PhasePm {
         &mut self.inner
     }
 
-    fn layer_events(&self) -> Vec<HardwareEvent> {
-        vec![HardwareEvent::InstructionsDecoded]
-    }
-
     fn layer_decide(&mut self, ctx: &SampleContext<'_>) -> PStateId {
-        let dpc = ctx.counters.dpc().unwrap_or(0.0);
-        let phase_changed = self.detector.observe(dpc);
-        let candidate = self.candidate(ctx, dpc);
-        if candidate < ctx.current {
-            self.raise_streak = 0;
-            candidate
-        } else if candidate > ctx.current {
-            if phase_changed {
-                // A confirmed level shift: re-evaluate without the window.
-                self.raise_streak = 0;
-                return candidate;
-            }
-            self.raise_streak += 1;
-            if self.raise_streak >= self.raise_samples {
-                self.raise_streak = 0;
-                candidate
-            } else {
-                ctx.current
-            }
-        } else {
-            self.raise_streak = 0;
-            ctx.current
-        }
+        // A missed read's DPC is extrapolated, not measured: it must neither
+        // move the detector's baseline nor trigger a raise.
+        let phase_changed =
+            ctx.counters.is_fresh() && self.detector.observe(ctx.counters.dpc().unwrap_or(0.0));
+        self.inner.decide_with(ctx, 1.0, phase_changed)
     }
 
     fn layer_command(&mut self, command: GovernorCommand) {
         self.inner.command(command);
         self.detector.reset();
-        self.raise_streak = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pm::PmConfig;
+    use aapm_platform::events::HardwareEvent;
     use aapm_platform::pstate::PStateTable;
     use aapm_platform::units::Seconds;
     use aapm_telemetry::pmc::CounterSample;
 
-    fn sample(dpc: f64) -> CounterSample {
+    fn sample(dpc: f64, fresh: bool) -> CounterSample {
         let cycles = 20e6;
         CounterSample {
             start: Seconds::ZERO,
             end: Seconds::from_millis(10.0),
             cycles,
-            counts: vec![(HardwareEvent::InstructionsDecoded, dpc * cycles, true)],
+            counts: vec![(HardwareEvent::InstructionsDecoded, dpc * cycles, fresh)],
         }
     }
 
     fn decide(g: &mut PhasePm, table: &PStateTable, current: usize, dpc: f64) -> PStateId {
-        let s = sample(dpc);
+        observe(g, table, current, dpc, true)
+    }
+
+    fn observe(
+        g: &mut PhasePm,
+        table: &PStateTable,
+        current: usize,
+        dpc: f64,
+        fresh: bool,
+    ) -> PStateId {
+        let s = sample(dpc, fresh);
         let ctx = SampleContext {
             counters: &s,
             power: None,
@@ -186,6 +150,27 @@ mod tests {
         }
         let chosen = decide(&mut g, &table, 7, 3.0);
         assert!(chosen < PStateId::new(7));
+    }
+
+    /// PM's stale-counter contract holds under the phase layer: a missed
+    /// PMC read's extrapolated DPC never raises the clock, `hold_samples`
+    /// stale intervals hold, and every later one steps down a state.
+    #[test]
+    fn stale_counters_hold_then_fail_safe() {
+        let table = PStateTable::pentium_m_755();
+        let mut g = governor(30.0);
+        assert_eq!(decide(&mut g, &table, 2, 0.5), PStateId::new(2));
+        let mut current = 2;
+        let mut path = Vec::new();
+        for _ in 0..40 {
+            current = observe(&mut g, &table, current, 0.5, false).index();
+            path.push(current);
+        }
+        let hold = PmConfig::default().hold_samples;
+        let mut expect = vec![2; hold];
+        expect.push(1);
+        expect.resize(40, 0);
+        assert_eq!(path, expect);
     }
 
     #[test]

@@ -16,6 +16,11 @@
 //!
 //! The power limit can change at any instant (the paper delivers this via
 //! Unix signals; here via [`GovernorCommand::SetPowerLimit`]).
+//!
+//! [`crate::feedback::FeedbackPm`] and [`crate::phase_pm::PhasePm`] decide
+//! through this same law, bent by a scale on every estimate and a
+//! raise-now flag, so the hold, the raise window and command handling
+//! live here alone.
 
 use aapm_platform::events::HardwareEvent;
 use aapm_platform::pstate::PStateId;
@@ -163,30 +168,31 @@ impl PerformanceMaximizer {
         Some(estimate + self.config.guardband)
     }
 
-    /// The highest p-state whose guarded estimate fits under the limit
-    /// (the lowest state if none fits).
-    fn best_pstate(&self, ctx: &SampleContext<'_>, dpc: f64) -> PStateId {
+    /// The highest p-state whose guarded estimate × `scale` fits under the
+    /// limit (the lowest state if none fits).
+    fn best_pstate(&self, ctx: &SampleContext<'_>, dpc: f64, scale: f64) -> PStateId {
         for (id, _) in ctx.table.iter_descending() {
             if let Some(estimate) = self.estimate_at(ctx, dpc, id) {
-                if estimate <= self.limit.watts() {
+                if estimate * scale <= self.limit.watts() {
                     return id;
                 }
             }
         }
         ctx.table.lowest()
     }
-}
 
-impl Governor for PerformanceMaximizer {
-    fn name(&self) -> &str {
-        "pm"
-    }
-
-    fn events(&self) -> Vec<HardwareEvent> {
-        vec![HardwareEvent::InstructionsDecoded]
-    }
-
-    fn decide(&mut self, ctx: &SampleContext<'_>) -> PStateId {
+    /// PM's whole decision, bent two ways for the layers built on it:
+    /// every guarded estimate is multiplied by `scale` before it meets the
+    /// limit (FeedbackPm's measured-power correction), and `raise_now`
+    /// takes a higher candidate without waiting out the raise window
+    /// (PhasePm's phase change). PM itself passes `1.0` and `false`;
+    /// multiplying by 1.0 is exact, so its decisions are the paper's law.
+    pub(crate) fn decide_with(
+        &mut self,
+        ctx: &SampleContext<'_>,
+        scale: f64,
+        raise_now: bool,
+    ) -> PStateId {
         let now = ctx.counters.end;
         // Graceful degradation under missed PMC reads: hold the last
         // measured DPC for a bounded window of exactly `hold_samples` stale
@@ -223,7 +229,7 @@ impl Governor for PerformanceMaximizer {
             match self.last_dpc {
                 Some(dpc) if self.stale_streak <= self.config.hold_samples => {
                     // Only safety-driven lowering is allowed on held data.
-                    let candidate = self.best_pstate(ctx, dpc);
+                    let candidate = self.best_pstate(ctx, dpc, scale);
                     if candidate < ctx.current {
                         self.raise_streak = 0;
                         return candidate;
@@ -238,15 +244,16 @@ impl Governor for PerformanceMaximizer {
                 }
             }
         };
-        let candidate = self.best_pstate(ctx, dpc);
+        let candidate = self.best_pstate(ctx, dpc, scale);
         let chosen = if candidate < ctx.current {
             // A single over-limit sample lowers frequency immediately.
             self.raise_streak = 0;
             candidate
         } else if candidate > ctx.current {
-            // Raising waits for a full window of agreeing samples.
+            // Raising waits for a full window of agreeing samples, unless
+            // the caller has seen cause to raise now.
             self.raise_streak += 1;
-            if self.raise_streak >= self.config.raise_samples {
+            if raise_now || self.raise_streak >= self.config.raise_samples {
                 self.raise_streak = 0;
                 candidate
             } else {
@@ -262,7 +269,7 @@ impl Governor for PerformanceMaximizer {
         // not metrics are installed; hold and fail-safe windows return
         // earlier above and keep the previous window's value.
         if let Some(estimate) = self.estimate_at(ctx, dpc, chosen) {
-            let headroom = self.limit.watts().watts() - estimate.watts();
+            let headroom = self.limit.watts().watts() - (estimate * scale).watts();
             self.last_headroom = Some(Watts::new(headroom));
             if self.metrics.is_enabled() {
                 self.metrics.observe("pm.guardband_margin_w", headroom);
@@ -273,7 +280,7 @@ impl Governor for PerformanceMaximizer {
         // p-state, the extra watts the next state up would need. A cluster
         // governor reads this as negative headroom — unmet demand.
         self.last_deficit = ctx.table.next_higher(chosen).and_then(|next| {
-            let estimate = self.estimate_at(ctx, dpc, next)?;
+            let estimate = self.estimate_at(ctx, dpc, next)? * scale;
             let deficit = estimate.watts() - self.limit.watts().watts();
             (deficit > 0.0).then(|| Watts::new(deficit))
         });
@@ -291,6 +298,20 @@ impl Governor for PerformanceMaximizer {
             }
         }
         chosen
+    }
+}
+
+impl Governor for PerformanceMaximizer {
+    fn name(&self) -> &str {
+        "pm"
+    }
+
+    fn events(&self) -> Vec<HardwareEvent> {
+        vec![HardwareEvent::InstructionsDecoded]
+    }
+
+    fn decide(&mut self, ctx: &SampleContext<'_>) -> PStateId {
+        self.decide_with(ctx, 1.0, false)
     }
 
     fn command(&mut self, command: GovernorCommand) {

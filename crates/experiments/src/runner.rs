@@ -355,6 +355,54 @@ mod tests {
         assert_eq!(floor, table.lowest());
     }
 
+    /// FNV-1a over the fault-free, command-free feedback-pm and phase-pm
+    /// runs of `ablation-feedback` and `ablation-phase`, seed by seed:
+    /// every trace p-state and measured-power bit, the execution time,
+    /// both energies and the transitions. Both governors decide through
+    /// PM's control law, so a change to that law that moves any of their
+    /// decisions moves the hash.
+    #[test]
+    fn pm_family_ablation_runs_are_pinned() {
+        let ctx = crate::test_support::test_ctx();
+        let models = ctx.spec_models();
+        let mut cells: Vec<(&str, GovernorSpec)> = [17.5, 15.5, 13.5, 11.5]
+            .into_iter()
+            .map(|limit_w| ("galgel", GovernorSpec::FeedbackPm { limit_w }))
+            .collect();
+        let phase = [("ammp", 10.5), ("ammp", 12.5), ("galgel", 13.5), ("galgel", 15.5)];
+        for (bench, limit_w) in phase {
+            cells.push((bench, GovernorSpec::PhasePm { limit_w }));
+        }
+        let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
+        let mut mix = |bits: u64| hash = (hash ^ bits).wrapping_mul(0x0000_0100_0000_01B3);
+        for (bench, spec) in &cells {
+            let program = aapm_workloads::spec::by_name(bench).expect("known benchmark");
+            for seed in RUN_SEEDS {
+                let machine = {
+                    let mut b = MachineConfig::builder();
+                    b.pstates(ctx.table().clone()).seed(seed);
+                    b.build().unwrap()
+                };
+                let sim = SimulationConfig { seed: sim_seed(seed), ..SimulationConfig::default() };
+                let mut governor = spec.build(&models).unwrap();
+                let (report, _) = Session::builder(machine, program.program().clone())
+                    .config(sim)
+                    .governor(governor.as_mut())
+                    .run()
+                    .unwrap();
+                for record in report.trace.records() {
+                    mix(record.pstate.index() as u64);
+                    mix(record.power.watts().to_bits());
+                }
+                mix(report.execution_time.seconds().to_bits());
+                mix(report.measured_energy.joules().to_bits());
+                mix(report.true_energy.joules().to_bits());
+                mix(report.transitions);
+            }
+        }
+        assert_eq!(hash, 0x4C81_44F1_B7D0_B384, "PM-family ablation runs moved: {hash:#018X}");
+    }
+
     #[test]
     fn limits_and_floors_match_paper() {
         let limits = pm_power_limits();

@@ -211,6 +211,21 @@ fn fixtures() -> Vec<(&'static str, Scenario)> {
     slo.faults.windows.push(WindowSpec { kind: FaultKind::PmcMissed, start: 0.3, end: 0.9 });
     out.push(("013-watchdog-slo-save-pmc-outage.json", slo));
 
+    // 014 — phase-aware PM through a PMC outage that opens in the cool
+    // segment, with the hot one next. PhasePm decides through PM's control
+    // law, so it must keep PM's stale-counter contract: never raise on
+    // extrapolated DPC, hold for `hold_samples`, then step down. A phase
+    // layer that raised on the outage's DPC would run the hot segment over
+    // the cap (cap=FAIL); the verdict pins the hold and the fail-safe.
+    let mut phase = base("phase-pm-pmc-outage", GovernorSpec::PhasePm { limit_w: 13.5 }, {
+        let mut program = mixed_program();
+        program.name = "cool-first".to_owned();
+        program.segments.reverse();
+        program
+    });
+    phase.faults.windows.push(WindowSpec { kind: FaultKind::PmcMissed, start: 0.2, end: 1.2 });
+    out.push(("014-phase-pm-pmc-outage.json", phase));
+
     out
 }
 

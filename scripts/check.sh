@@ -60,7 +60,7 @@ EOF
 
 # Adversarial corpus gate: every committed fixture must replay to its
 # recorded verdict (exit 0 means all matched), byte-identically across
-# pool widths, and the corpus must hold its 13-fixture floor.
+# pool widths, and the corpus must hold its 14-fixture floor.
 cargo run --release --offline -p aapm-experiments -- --replay-corpus --jobs 1 \
     > results/corpus-replay.jobs1.txt
 for jobs in 2 8; do
@@ -69,8 +69,8 @@ for jobs in 2 8; do
     cmp "results/corpus-replay.jobs1.txt" "results/corpus-replay.jobs${jobs}.txt"
 done
 fixtures=$(wc -l < results/corpus-replay.jobs1.txt)
-if [ "$fixtures" -lt 13 ]; then
-    echo "corpus gate FAIL: only ${fixtures} fixture(s) replayed (floor is 13)" >&2
+if [ "$fixtures" -lt 14 ]; then
+    echo "corpus gate FAIL: only ${fixtures} fixture(s) replayed (floor is 14)" >&2
     exit 1
 fi
 rm -f results/corpus-replay.jobs*.txt

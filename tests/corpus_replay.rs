@@ -3,7 +3,7 @@
 //! Mirrors the `aapm-experiments --replay-corpus` gate inside the test
 //! suite: every fixture under `corpus/` must parse, re-evaluate to its
 //! recorded verdict line, and round-trip through the fixture codec. The
-//! corpus floor (13 fixtures, a galgel-style cap violation first) is part
+//! corpus floor (14 fixtures, a galgel-style cap violation first) is part
 //! of the contract — shrinking the corpus is a regression too.
 
 use std::path::PathBuf;
@@ -17,7 +17,7 @@ fn corpus_dir() -> PathBuf {
 #[test]
 fn committed_corpus_replays_byte_identically() {
     let entries = corpus::load_dir(&corpus_dir()).expect("corpus must load");
-    assert!(entries.len() >= 13, "corpus floor is 13 fixtures, found {}", entries.len());
+    assert!(entries.len() >= 14, "corpus floor is 14 fixtures, found {}", entries.len());
     for entry in &entries {
         assert_eq!(
             entry.fixture.replay(),
