@@ -85,18 +85,6 @@ impl RunReport {
     pub fn energy_savings_vs(&self, baseline: &RunReport) -> f64 {
         1.0 - self.measured_energy / baseline.measured_energy
     }
-
-    /// Energy-delay product in joule-seconds — the classic efficiency
-    /// metric that penalizes trading too much time for energy.
-    pub fn energy_delay_product(&self) -> f64 {
-        self.measured_energy.joules() * self.execution_time.seconds()
-    }
-
-    /// Energy-delay² product in joule-seconds² — weights performance more
-    /// heavily, the conventional metric for high-performance parts.
-    pub fn energy_delay_squared(&self) -> f64 {
-        self.measured_energy.joules() * self.execution_time.seconds().powi(2)
-    }
 }
 
 #[cfg(test)]
@@ -126,13 +114,6 @@ mod tests {
         assert!((fast.speedup_over(&slow) - 1.25).abs() < 1e-12);
         assert!((slow.performance_reduction_vs(&fast) - 0.2).abs() < 1e-12);
         assert!((slow.energy_savings_vs(&fast) - (1.0 - 100.0 / 150.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn edp_metrics_combine_energy_and_time() {
-        let r = report(2.0, 10.0);
-        assert!((r.energy_delay_product() - 20.0).abs() < 1e-12);
-        assert!((r.energy_delay_squared() - 40.0).abs() < 1e-12);
     }
 
     #[test]

@@ -371,12 +371,9 @@ fn main() -> ExitCode {
                 i += 2;
             }
             "--jobs" if i + 1 < args.len() => {
-                match args[i + 1].parse::<usize>() {
-                    Ok(n) if n >= 1 => jobs = Some(n),
-                    _ => {
-                        eprintln!("--jobs wants a positive integer, got `{}`", args[i + 1]);
-                        return ExitCode::FAILURE;
-                    }
+                match parse_positive("--jobs", &args[i + 1]) {
+                    Ok(n) => jobs = Some(n),
+                    Err(code) => return code,
                 }
                 i += 2;
             }

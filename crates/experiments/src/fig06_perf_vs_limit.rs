@@ -1,59 +1,27 @@
 //! Figure 6 — suite performance vs power limit: PM dynamic clocking vs
 //! worst-case static clocking.
 //!
-//! For each of the eight power limits, the whole suite runs under PM and
-//! under the Table-IV static frequency; performance is normalized as
-//! `unconstrained suite time / constrained suite time`. The paper's shape:
-//! the PM line dominates the static dots everywhere, and static approaches
-//! PM only where the limit sits just above a fixed frequency's own
-//! worst-case power.
+//! A view of the shared suite sweep ([`ps_sweep`]): for each of the eight
+//! power limits, the whole suite under PM and under the Table-IV static
+//! frequency; performance is normalized as `unconstrained suite time /
+//! constrained suite time`. The paper's shape: the PM line dominates the
+//! static dots everywhere, and static approaches PM only where the limit
+//! sits just above a fixed frequency's own worst-case power.
 
-use aapm::spec::GovernorSpec;
 use aapm_platform::error::Result;
-use aapm_platform::pstate::PStateId;
-use aapm_workloads::spec;
 
 use crate::context::ExperimentContext;
 use crate::output::ExperimentOutput;
 use crate::pool::Pool;
-use crate::runner::{
-    median_run_spec, pm_power_limits, static_frequency_for_limit, worst_case_power_curve,
-};
+use crate::ps_sweep::{self, PsSweep};
 use crate::table::{f3, TextTable};
 
-/// Suite execution time under a registry-described governor, with one pool
-/// cell per benchmark.
-fn suite_time(ctx: &ExperimentContext, pool: &Pool, governor: &GovernorSpec) -> Result<f64> {
-    let benches = spec::suite();
-    let models = ctx.spec_models();
-    let models_ref = &models;
-    let cells: Vec<_> = benches
-        .iter()
-        .map(|bench| {
-            move || {
-                let report =
-                    median_run_spec(pool, governor, models_ref, bench.program(), ctx.table(), &[])?;
-                Ok(report.execution_time.seconds())
-            }
-        })
-        .collect();
-    let times = pool.run(cells).into_iter().collect::<Result<Vec<f64>>>()?;
-    Ok(times.into_iter().sum())
-}
-
-/// Runs the experiment.
-///
-/// # Errors
-///
-/// Propagates platform errors.
-pub fn run(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
+/// Runs the experiment with a precomputed sweep.
+pub fn run_with(sweep: &PsSweep) -> ExperimentOutput {
     let mut out = ExperimentOutput::new(
         "fig6",
         "Suite performance vs power limit: PM vs static clocking (paper Figure 6)",
     );
-    let curve = worst_case_power_curve(pool, ctx.table())?;
-    let t_unconstrained = suite_time(ctx, pool, &GovernorSpec::Unconstrained)?;
-
     let mut table = TextTable::new(vec![
         "limit_w",
         "pm_normalized_perf",
@@ -61,33 +29,21 @@ pub fn run(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
         "static_normalized_perf",
         "pm_advantage",
     ]);
-    let limits = pm_power_limits();
-    let curve_ref = &curve;
-    let cells: Vec<_> = limits
-        .iter()
-        .map(|&limit| {
-            move || -> Result<(f64, PStateId, f64)> {
-                let pm = GovernorSpec::Pm { limit_w: limit.watts().watts() };
-                let t_pm = suite_time(ctx, pool, &pm)?;
-
-                let static_id = static_frequency_for_limit(curve_ref, ctx.table(), limit);
-                let static_clock = GovernorSpec::StaticClock { pstate: static_id.index() };
-                let t_static = suite_time(ctx, pool, &static_clock)?;
-                Ok((t_pm, static_id, t_static))
-            }
-        })
-        .collect();
-    let results = pool.run(cells).into_iter().collect::<Result<Vec<_>>>()?;
-
+    // Suite times are summed in suite order: a float sum depends on its
+    // order, and the committed CSV holds this one.
+    let t_unconstrained: f64 = sweep.benchmarks.iter().map(|b| b.unconstrained.time_s).sum();
     let mut pm_always_wins = true;
-    for (limit, (t_pm, static_id, t_static)) in limits.iter().zip(results) {
+    for (i, (limit, static_mhz)) in sweep.limits.iter().enumerate() {
+        let t_pm: f64 = sweep.benchmarks.iter().map(|b| b.limit_runs[i].pm.time_s).sum();
+        let t_static: f64 =
+            sweep.benchmarks.iter().map(|b| b.limit_runs[i].static_clock.time_s).sum();
         let pm_perf = t_unconstrained / t_pm;
         let static_perf = t_unconstrained / t_static;
         pm_always_wins &= pm_perf >= static_perf - 1e-6;
         table.row(vec![
             format!("{:.1}", limit.watts().watts()),
             f3(pm_perf),
-            ctx.table().get(static_id)?.frequency().mhz().to_string(),
+            static_mhz.mhz().to_string(),
             f3(static_perf),
             f3(pm_perf / static_perf),
         ]);
@@ -98,17 +54,26 @@ pub fn run(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
          (paper: static approaches dynamic only when the limit is near a \
          fixed frequency's peak power)"
     ));
-    Ok(out)
+    out
+}
+
+/// Runs the experiment end to end.
+///
+/// # Errors
+///
+/// Propagates platform errors.
+pub fn run(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
+    Ok(run_with(&ps_sweep::compute(ctx, pool)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{test_ctx, test_pool};
+    use crate::test_support::test_sweep;
 
     #[test]
     fn pm_dominates_static_at_every_limit() {
-        let out = run(test_ctx(), test_pool()).unwrap();
+        let out = run_with(test_sweep());
         let rows: Vec<Vec<f64>> = out.tables[0]
             .1
             .to_csv()

@@ -1,20 +1,18 @@
 //! Figure 7 — per-benchmark PM speedup at the 17.5 W limit.
 //!
-//! At 17.5 W static clocking must pin 1800 MHz. PM alternates 1800/2000 MHz
-//! by workload. For each benchmark this experiment reports the PM speedup
-//! over static clocking and the unconstrained (2 GHz) speedup over static
-//! clocking, sorted — as in the paper — by the unconstrained speedup. The
-//! headline: PM reaches ≈86 % of the possible suite speedup.
+//! A view of the shared suite sweep ([`ps_sweep`]). At 17.5 W static
+//! clocking must pin 1800 MHz. PM alternates 1800/2000 MHz by workload.
+//! For each benchmark this experiment reports the PM speedup over static
+//! clocking and the unconstrained (2 GHz) speedup over static clocking,
+//! sorted — as in the paper — by the unconstrained speedup. The headline:
+//! PM reaches ≈86 % of the possible suite speedup.
 
-use aapm::limits::PowerLimit;
-use aapm::spec::GovernorSpec;
 use aapm_platform::error::Result;
-use aapm_workloads::spec;
 
 use crate::context::ExperimentContext;
 use crate::output::ExperimentOutput;
 use crate::pool::Pool;
-use crate::runner::{median_run_spec, static_frequency_for_limit, worst_case_power_curve};
+use crate::ps_sweep::{self, PsSweep};
 use crate::table::{f3, pct, TextTable};
 
 /// The figure's power limit.
@@ -38,72 +36,42 @@ pub struct Fig7Row {
 }
 
 /// Computes the per-benchmark rows and the suite capture fraction.
-///
-/// # Errors
-///
-/// Propagates platform errors.
-pub fn compute(ctx: &ExperimentContext, pool: &Pool) -> Result<(Vec<Fig7Row>, f64)> {
-    let limit = PowerLimit::new(LIMIT_W).expect("limit is positive");
-    let curve = worst_case_power_curve(pool, ctx.table())?;
-    let static_id = static_frequency_for_limit(&curve, ctx.table(), limit);
-    let models = ctx.spec_models();
-    let models_ref = &models;
-
-    let cells: Vec<_> = spec::suite()
-        .into_iter()
-        .map(|bench| {
-            move || -> Result<Fig7Row> {
-                let pm_spec = GovernorSpec::Pm { limit_w: LIMIT_W };
-                let pm =
-                    median_run_spec(pool, &pm_spec, models_ref, bench.program(), ctx.table(), &[])?;
-                let static_spec = GovernorSpec::StaticClock { pstate: static_id.index() };
-                let st = median_run_spec(
-                    pool,
-                    &static_spec,
-                    models_ref,
-                    bench.program(),
-                    ctx.table(),
-                    &[],
-                )?;
-                let un = median_run_spec(
-                    pool,
-                    &GovernorSpec::Unconstrained,
-                    models_ref,
-                    bench.program(),
-                    ctx.table(),
-                    &[],
-                )?;
-                Ok(Fig7Row {
-                    benchmark: bench.name().to_owned(),
-                    pm_speedup: st.execution_time / pm.execution_time,
-                    unconstrained_speedup: st.execution_time / un.execution_time,
-                    t_pm: pm.execution_time.seconds(),
-                    t_static: st.execution_time.seconds(),
-                    t_unconstrained: un.execution_time.seconds(),
-                })
+pub fn compute(sweep: &PsSweep) -> (Vec<Fig7Row>, f64) {
+    let at = sweep
+        .limits
+        .iter()
+        .position(|(limit, _)| (limit.watts().watts() - LIMIT_W).abs() < 1e-9)
+        .expect("17.5 W is a PM limit");
+    let mut rows: Vec<Fig7Row> = sweep
+        .benchmarks
+        .iter()
+        .map(|b| {
+            let (pm, static_clock) = (b.limit_runs[at].pm, b.limit_runs[at].static_clock);
+            Fig7Row {
+                benchmark: b.benchmark.clone(),
+                pm_speedup: static_clock.time_s / pm.time_s,
+                unconstrained_speedup: static_clock.time_s / b.unconstrained.time_s,
+                t_pm: pm.time_s,
+                t_static: static_clock.time_s,
+                t_unconstrained: b.unconstrained.time_s,
             }
         })
         .collect();
-    let mut rows = pool.run(cells).into_iter().collect::<Result<Vec<_>>>()?;
     rows.sort_by(|a, b| a.unconstrained_speedup.total_cmp(&b.unconstrained_speedup));
     let t_pm: f64 = rows.iter().map(|r| r.t_pm).sum();
     let t_static: f64 = rows.iter().map(|r| r.t_static).sum();
     let t_un: f64 = rows.iter().map(|r| r.t_unconstrained).sum();
     let capture = (t_static - t_pm) / (t_static - t_un);
-    Ok((rows, capture))
+    (rows, capture)
 }
 
-/// Runs the experiment.
-///
-/// # Errors
-///
-/// Propagates platform errors.
-pub fn run(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
+/// Runs the experiment with a precomputed sweep.
+pub fn run_with(sweep: &PsSweep) -> ExperimentOutput {
     let mut out = ExperimentOutput::new(
         "fig7",
         "Per-benchmark PM and unconstrained speedup over static 1800 MHz at 17.5 W (paper Figure 7)",
     );
-    let (rows, capture) = compute(ctx, pool)?;
+    let (rows, capture) = compute(sweep);
     let mut table = TextTable::new(vec![
         "benchmark",
         "pm_speedup",
@@ -129,17 +97,26 @@ pub fn run(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
          workloads (crafty, perlbmk, parts of bzip2) are held at 1800 MHz \
          by their power, so their PM speedup trails the unconstrained bar",
     );
-    Ok(out)
+    out
+}
+
+/// Runs the experiment end to end.
+///
+/// # Errors
+///
+/// Propagates platform errors.
+pub fn run(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
+    Ok(run_with(&ps_sweep::compute(ctx, pool)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{test_ctx, test_pool};
+    use crate::test_support::test_sweep;
 
     #[test]
     fn capture_fraction_and_ordering_match_paper_shape() {
-        let (rows, capture) = compute(test_ctx(), test_pool()).unwrap();
+        let (rows, capture) = compute(test_sweep());
         assert_eq!(rows.len(), 26);
         // Headline corridor: paper reports 86%; accept 75–95%.
         assert!((0.75..=0.95).contains(&capture), "capture {capture}");

@@ -1,4 +1,5 @@
-//! The paper's headline claims, recomputed in one place.
+//! The paper's headline claims, read in one place out of the shared suite
+//! sweep ([`ps_sweep`]).
 //!
 //! * PM at a 17.5 W budget obtains ≈86 % of the possible suite speedup.
 //! * PS at the 80 % floor saves ≈19.2 % energy for ≈10 % performance loss.
@@ -14,14 +15,19 @@ use crate::pool::Pool;
 use crate::ps_sweep::{self, Exponent, PsSweep};
 use crate::table::{pct, TextTable};
 
-/// Runs the headline summary with a precomputed PS sweep.
+/// Runs the headline summary with a precomputed sweep. `ctx` and `pool`
+/// are unused: the sweep holds every run the claims read.
 ///
 /// # Errors
 ///
-/// Propagates platform errors from the PM runs.
-pub fn run_with(ctx: &ExperimentContext, pool: &Pool, sweep: &PsSweep) -> Result<ExperimentOutput> {
+/// None; the signature is kept for its existing callers.
+pub fn run_with(
+    _ctx: &ExperimentContext,
+    _pool: &Pool,
+    sweep: &PsSweep,
+) -> Result<ExperimentOutput> {
     let mut out = ExperimentOutput::new("headline", "Headline claims: paper vs reproduction");
-    let (_, capture) = fig07_pm_speedup::compute(ctx, pool)?;
+    let (_, capture) = fig07_pm_speedup::compute(sweep);
 
     let mut table = TextTable::new(vec!["claim", "paper", "reproduction"]);
     table.row(vec![

@@ -4,7 +4,10 @@
 //! PM-adherence sweep, the headline-claims summary, and ablations. Each
 //! module exposes `run(&ExperimentContext, &Pool) -> Result<ExperimentOutput>`
 //! and fans its independent cells over the [`pool`] job pool; the
-//! `aapm-experiments` binary drives them.
+//! `aapm-experiments` binary drives them. Figures 6, 7 and 9–11,
+//! pm-adherence and headline are views of the shared suite sweep
+//! ([`ps_sweep`]): each also exposes a `run_with` that formats a computed
+//! sweep, and [`run_suite`] computes the sweep once for all seven.
 //!
 //! | id | paper content | module |
 //! |---|---|---|
@@ -125,33 +128,9 @@ pub fn run_by_id(ctx: &ExperimentContext, pool: &Pool, id: &str) -> Result<Vec<E
     }
 }
 
-/// Experiments that run before the shared PS sweep, in presentation order.
-const SUITE_PRE: [&str; 10] =
-    ["fig1", "fig2", "tab1", "tab2", "tab3", "tab4", "fig5", "fig6", "fig7", "fig8"];
-
-/// Experiments that run after the sweep-derived figures, in presentation
-/// order.
-const SUITE_POST: [&str; 15] = [
-    "ablation-guardband",
-    "ablation-window",
-    "ablation-feedback",
-    "ablation-dbs",
-    "ablation-throttle",
-    "ablation-thermal",
-    "ablation-deepcap",
-    "ablation-phase",
-    "adaptive",
-    "signatures",
-    "model-error",
-    "efficiency",
-    "fault-matrix",
-    "fleet",
-    "serve",
-];
-
-/// Runs the full suite, fanning whole experiments over the pool while
-/// sharing the expensive PS sweep across figures 9–11 and the headline
-/// summary.
+/// Runs the full suite: the shared sweep ([`ps_sweep`]) first, fanned over
+/// the whole pool, then every experiment as one wave in presentation
+/// order, with the sweep's views formatting the sweep.
 ///
 /// Cells are merged in submission order, so the output sequence (and every
 /// byte in it) is identical whatever the pool width.
@@ -160,45 +139,26 @@ const SUITE_POST: [&str; 15] = [
 ///
 /// Propagates the first failing experiment's error.
 pub fn run_suite(ctx: &ExperimentContext, pool: &Pool) -> Result<Vec<ExperimentOutput>> {
-    enum Item {
-        Outputs(Vec<ExperimentOutput>),
-        Sweep(ps_sweep::PsSweep),
-    }
-    // First wave: everything that does not need the sweep, plus the sweep
-    // itself as the final cell.
-    let mut head: Vec<Box<dyn FnOnce() -> Result<Item> + Send>> = Vec::new();
-    for id in SUITE_PRE {
-        head.push(Box::new(move || run_by_id(ctx, pool, id).map(Item::Outputs)));
-    }
-    head.push(Box::new(move || ps_sweep::compute(ctx, pool).map(Item::Sweep)));
-    let mut items = pool.run(head).into_iter().collect::<Result<Vec<_>>>()?;
-    let Some(Item::Sweep(sweep)) = items.pop() else {
-        unreachable!("the last first-wave cell is the sweep")
-    };
+    let sweep = ps_sweep::compute(ctx, pool)?;
+    let sweep = &sweep;
+    let cells: Vec<_> = ALL_IDS
+        .into_iter()
+        .filter(|&id| id != "all")
+        .map(|id| {
+            move || match id {
+                "fig6" => Ok(vec![fig06_perf_vs_limit::run_with(sweep)]),
+                "fig7" => Ok(vec![fig07_pm_speedup::run_with(sweep)]),
+                "fig9" => Ok(vec![fig09_ps_suite::run_with(sweep)]),
+                "fig10" => Ok(vec![fig10_ps_energy::run_with(sweep)]),
+                "fig11" => Ok(vec![fig11_ps_perf::run_with(sweep)]),
+                "pm-adherence" => Ok(vec![pm_adherence::run_with(sweep)]),
+                "headline" => headline::run_with(ctx, pool, sweep).map(|out| vec![out]),
+                _ => run_by_id(ctx, pool, id),
+            }
+        })
+        .collect();
     let mut outputs = Vec::new();
-    for item in items {
-        match item {
-            Item::Outputs(outs) => outputs.extend(outs),
-            Item::Sweep(_) => unreachable!("only the last first-wave cell is the sweep"),
-        }
-    }
-    // Sweep-derived figures are pure formatting — no fan-out needed.
-    outputs.push(fig09_ps_suite::run_with(&sweep));
-    outputs.push(fig10_ps_energy::run_with(&sweep));
-    outputs.push(fig11_ps_perf::run_with(&sweep));
-
-    // Second wave: the remaining experiments, with headline borrowing the
-    // sweep computed above.
-    let sweep_ref = &sweep;
-    let mut tail: Vec<Box<dyn FnOnce() -> Result<Vec<ExperimentOutput>> + Send>> = Vec::new();
-    tail.push(Box::new(move || run_by_id(ctx, pool, "pm-adherence")));
-    tail.push(Box::new(move || {
-        headline::run_with(ctx, pool, sweep_ref).map(|out| vec![out])
-    }));
-    for id in SUITE_POST {
-        tail.push(Box::new(move || run_by_id(ctx, pool, id)));
-    }
-    for outs in pool.run(tail).into_iter().collect::<Result<Vec<_>>>()? {
+    for outs in pool.run(cells).into_iter().collect::<Result<Vec<_>>>()? {
         outputs.extend(outs);
     }
     Ok(outputs)

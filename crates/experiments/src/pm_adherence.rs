@@ -4,69 +4,43 @@
 //! windows across all benchmarks and limits: "PM is able to enforce the
 //! power limit for every benchmark except galgel, which in the worst case
 //! spends approximately 10% of run-time over the power limit". This
-//! experiment reproduces that sweep.
+//! experiment reproduces that evaluation from the PM runs of the shared
+//! suite sweep ([`ps_sweep`]).
 
-use aapm::spec::GovernorSpec;
 use aapm_platform::error::Result;
-use aapm_workloads::spec;
 
 use crate::context::ExperimentContext;
 use crate::output::ExperimentOutput;
 use crate::pool::Pool;
-use crate::runner::{median_run_spec, pm_power_limits};
+use crate::ps_sweep::{self, PsSweep};
 use crate::table::{pct, TextTable};
 
 /// Violation threshold below which adherence counts as "enforced" (one
 /// 100 ms window in a thousand tolerates measurement noise).
 pub const ENFORCED_THRESHOLD: f64 = 0.002;
 
-/// Runs the experiment.
-///
-/// # Errors
-///
-/// Propagates platform errors.
-pub fn run(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
+/// Runs the experiment with a precomputed sweep.
+pub fn run_with(sweep: &PsSweep) -> ExperimentOutput {
     let mut out = ExperimentOutput::new(
         "pm-adherence",
         "PM 100 ms-window power-limit adherence across benchmarks and limits (paper §IV.A.2)",
     );
     let mut table = TextTable::new(vec!["benchmark", "worst_violation", "worst_limit_w"]);
     let mut offenders = Vec::new();
-    let benches = spec::suite();
-    let models = ctx.spec_models();
-    let models_ref = &models;
-    let cells: Vec<_> = benches
-        .iter()
-        .map(|bench| {
-            move || -> Result<(f64, f64)> {
-                let mut worst = 0.0f64;
-                let mut worst_limit = 0.0;
-                for limit in pm_power_limits() {
-                    let pm = GovernorSpec::Pm { limit_w: limit.watts().watts() };
-                    let report = median_run_spec(
-                        pool,
-                        &pm,
-                        models_ref,
-                        bench.program(),
-                        ctx.table(),
-                        &[],
-                    )?;
-                    let violation = report.violation_fraction(limit.watts(), 10);
-                    if violation > worst {
-                        worst = violation;
-                        worst_limit = limit.watts().watts();
-                    }
-                }
-                Ok((worst, worst_limit))
+    for b in &sweep.benchmarks {
+        // The first limit with the strictly largest violation.
+        let mut worst = 0.0f64;
+        let mut worst_limit = 0.0;
+        for ((limit, _), runs) in sweep.limits.iter().zip(&b.limit_runs) {
+            if runs.pm_violation > worst {
+                worst = runs.pm_violation;
+                worst_limit = limit.watts().watts();
             }
-        })
-        .collect();
-    let results = pool.run(cells).into_iter().collect::<Result<Vec<_>>>()?;
-    for (bench, (worst, worst_limit)) in benches.iter().zip(results) {
-        if worst > ENFORCED_THRESHOLD {
-            offenders.push(bench.name().to_owned());
         }
-        table.row(vec![bench.name().into(), pct(worst), format!("{worst_limit:.1}")]);
+        if worst > ENFORCED_THRESHOLD {
+            offenders.push(b.benchmark.clone());
+        }
+        table.row(vec![b.benchmark.clone(), pct(worst), format!("{worst_limit:.1}")]);
     }
     out.table("adherence", table);
     out.note(format!(
@@ -75,17 +49,26 @@ pub fn run(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
         pct(ENFORCED_THRESHOLD),
         offenders
     ));
-    Ok(out)
+    out
+}
+
+/// Runs the experiment end to end.
+///
+/// # Errors
+///
+/// Propagates platform errors.
+pub fn run(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
+    Ok(run_with(&ps_sweep::compute(ctx, pool)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::test_ctx;
+    use crate::test_support::test_sweep;
 
     #[test]
     fn only_galgel_violates_materially() {
-        let out = run(test_ctx(), crate::test_support::test_pool()).unwrap();
+        let out = run_with(test_sweep());
         let rows: Vec<Vec<String>> = out.tables[0]
             .1
             .to_csv()

@@ -1,18 +1,28 @@
-//! Shared PowerSave sweep: every benchmark × floor × exponent + bounds.
+//! The shared suite sweep: every benchmark under PM at each power limit,
+//! under the Table-IV static clock for each limit, and under PS at every
+//! floor × exponent.
 //!
-//! Figures 9, 10 and 11 all consume the same grid of PS runs; this module
-//! computes it once. Each benchmark also runs unconstrained (the
-//! performance/energy reference) and at 600 MHz (the upper bound on DVFS
-//! savings the paper sorts Figures 10/11 by).
+//! Figures 6, 7, 9, 10 and 11, the PM-adherence sweep and the headline
+//! claims are all views of this one grid of three-seed median runs, so the
+//! suite computes it once and each of them formats it. Each benchmark also
+//! runs unconstrained (the performance/energy reference) and at 600 MHz
+//! (the upper bound on DVFS savings the paper sorts Figures 10/11 by).
+//! Limits that share a static clock share its run.
 
+use aapm::limits::PowerLimit;
 use aapm::spec::{GovernorSpec, SpecModels};
 use aapm_models::perf_model::{PerfModel, PerfModelParams};
 use aapm_platform::error::Result;
+use aapm_platform::pstate::PStateId;
+use aapm_platform::units::MegaHertz;
 use aapm_workloads::spec;
 
 use crate::context::ExperimentContext;
 use crate::pool::Pool;
-use crate::runner::{median_run_spec, ps_floors};
+use crate::runner::{
+    median_run_spec, pm_power_limits, ps_floors, static_frequency_for_limit,
+    worst_case_power_curve,
+};
 
 /// Which eq.-3 exponent a PS run used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,7 +62,18 @@ pub struct Measure {
     pub energy_j: f64,
 }
 
-/// All PS measurements for one benchmark.
+/// PM and static clocking under one power limit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LimitRuns {
+    /// PM at the limit.
+    pub pm: Measure,
+    /// Fraction of PM's 100 ms windows whose mean power exceeds the limit.
+    pub pm_violation: f64,
+    /// The limit's Table-IV static clock.
+    pub static_clock: Measure,
+}
+
+/// All measurements for one benchmark.
 #[derive(Debug, Clone)]
 pub struct BenchmarkSweep {
     /// Benchmark name.
@@ -63,6 +84,8 @@ pub struct BenchmarkSweep {
     pub at_600mhz: Measure,
     /// `(exponent, floor, measure)` for every grid point.
     pub ps_runs: Vec<(Exponent, f64, Measure)>,
+    /// PM and static clocking at each of [`PsSweep::limits`], in order.
+    pub limit_runs: Vec<LimitRuns>,
 }
 
 impl BenchmarkSweep {
@@ -100,6 +123,9 @@ impl BenchmarkSweep {
 /// The full sweep over the suite.
 #[derive(Debug, Clone)]
 pub struct PsSweep {
+    /// The PM power limits ([`pm_power_limits`] order), each with the
+    /// frequency of its Table-IV static clock.
+    pub limits: Vec<(PowerLimit, MegaHertz)>,
     /// Per-benchmark measurements.
     pub benchmarks: Vec<BenchmarkSweep>,
 }
@@ -133,37 +159,32 @@ fn measure_of(report: &aapm::report::RunReport) -> Measure {
     }
 }
 
-/// Computes the full sweep.
+/// Computes the full sweep: the worst-case power curve first, then one
+/// pool cell per benchmark.
 ///
 /// # Errors
 ///
 /// Propagates platform errors.
 pub fn compute(ctx: &ExperimentContext, pool: &Pool) -> Result<PsSweep> {
+    let curve = worst_case_power_curve(pool, ctx.table())?;
+    let clocks: Vec<(PowerLimit, PStateId)> = pm_power_limits()
+        .into_iter()
+        .map(|limit| (limit, static_frequency_for_limit(&curve, ctx.table(), limit)))
+        .collect();
     let models = ctx.spec_models();
-    let models_ref = &models;
-    // One cell per benchmark; each cell runs its whole 2+8-point grid so
-    // the merged sweep keeps the suite's benchmark order.
+    let (models_ref, clocks_ref) = (&models, &clocks);
+    // Each cell runs its benchmark's whole grid, so the merged sweep keeps
+    // the suite's benchmark order.
     let cells: Vec<_> = spec::suite()
         .into_iter()
         .map(|bench| {
             move || -> Result<BenchmarkSweep> {
-                let unconstrained = measure_of(&median_run_spec(
-                    pool,
-                    &GovernorSpec::Unconstrained,
-                    models_ref,
-                    bench.program(),
-                    ctx.table(),
-                    &[],
-                )?);
+                let run = |spec: &GovernorSpec, models: &SpecModels| {
+                    median_run_spec(pool, spec, models, bench.program(), ctx.table(), &[])
+                };
+                let unconstrained = measure_of(&run(&GovernorSpec::Unconstrained, models_ref)?);
                 let low = GovernorSpec::StaticClock { pstate: ctx.table().lowest().index() };
-                let at_600mhz = measure_of(&median_run_spec(
-                    pool,
-                    &low,
-                    models_ref,
-                    bench.program(),
-                    ctx.table(),
-                    &[],
-                )?);
+                let at_600mhz = measure_of(&run(&low, models_ref)?);
                 let mut ps_runs = Vec::new();
                 for exponent in Exponent::BOTH {
                     // The exponent under test rides in through the model
@@ -171,29 +192,45 @@ pub fn compute(ctx: &ExperimentContext, pool: &Pool) -> Result<PsSweep> {
                     let exp_models =
                         SpecModels { power: models_ref.power.clone(), perf: exponent.model() };
                     for floor in ps_floors() {
-                        let ps = GovernorSpec::Ps { floor };
-                        let report = median_run_spec(
-                            pool,
-                            &ps,
-                            &exp_models,
-                            bench.program(),
-                            ctx.table(),
-                            &[],
-                        )?;
+                        let report = run(&GovernorSpec::Ps { floor }, &exp_models)?;
                         ps_runs.push((exponent, floor, measure_of(&report)));
                     }
+                }
+                let mut statics: Vec<(PStateId, Measure)> = Vec::new();
+                let mut limit_runs = Vec::new();
+                for &(limit, pstate) in clocks_ref {
+                    let pm = run(&GovernorSpec::Pm { limit_w: limit.watts().watts() }, models_ref)?;
+                    let static_clock = match statics.iter().find(|(id, _)| *id == pstate) {
+                        Some(&(_, measure)) => measure,
+                        None => {
+                            let spec = GovernorSpec::StaticClock { pstate: pstate.index() };
+                            let measure = measure_of(&run(&spec, models_ref)?);
+                            statics.push((pstate, measure));
+                            measure
+                        }
+                    };
+                    limit_runs.push(LimitRuns {
+                        pm: measure_of(&pm),
+                        pm_violation: pm.violation_fraction(limit.watts(), 10),
+                        static_clock,
+                    });
                 }
                 Ok(BenchmarkSweep {
                     benchmark: bench.name().to_owned(),
                     unconstrained,
                     at_600mhz,
                     ps_runs,
+                    limit_runs,
                 })
             }
         })
         .collect();
     let benchmarks = pool.run(cells).into_iter().collect::<Result<Vec<_>>>()?;
-    Ok(PsSweep { benchmarks })
+    let limits = clocks
+        .iter()
+        .map(|&(limit, pstate)| Ok((limit, ctx.table().get(pstate)?.frequency())))
+        .collect::<Result<Vec<_>>>()?;
+    Ok(PsSweep { limits, benchmarks })
 }
 
 #[cfg(test)]
@@ -205,8 +242,10 @@ mod tests {
     fn sweep_covers_grid() {
         let sweep = test_sweep();
         assert_eq!(sweep.benchmarks.len(), 26);
+        assert_eq!(sweep.limits.len(), 8);
         for b in &sweep.benchmarks {
             assert_eq!(b.ps_runs.len(), 8, "{}: 2 exponents × 4 floors", b.benchmark);
+            assert_eq!(b.limit_runs.len(), sweep.limits.len(), "{}: one per limit", b.benchmark);
             assert!(b.unconstrained.time_s > 0.0);
             assert!(b.at_600mhz.time_s > b.unconstrained.time_s);
         }

@@ -7,11 +7,13 @@
 //! slice of the suite at both widths: a plain per-benchmark fan-out
 //! (fig2), a pooled measurement curve reused by two tables (tab3/tab4),
 //! and a nested `median_run` fan under an outer fan (fig5). One more test
-//! runs the whole suite and checks it against the committed
-//! `results/*.csv`. Training on the pool must give the same models, bit
-//! for bit, at every width.
+//! runs the whole suite at widths 1 and 2 and checks it against the
+//! committed `results/*.csv`. Training on the pool must give the same
+//! models, bit for bit, at every width.
 
-use aapm_experiments::{run_by_id, run_suite, ExperimentContext, Pool, RunObserver};
+use aapm_experiments::{
+    run_by_id, run_suite, ExperimentContext, ExperimentOutput, Pool, RunObserver,
+};
 use aapm_workloads::footprint::Footprint;
 use aapm_workloads::loops::MicroLoop;
 use std::path::Path;
@@ -220,13 +222,28 @@ fn serve_output_is_byte_identical_across_widths() {
     }
 }
 
-/// The committed-CSV gate: the full suite on a 2-wide pool renders every
-/// table as the `<id>_<name>.csv` that `all --csv results/` writes, and
-/// those files must be exactly the committed `results/*.csv` — the same
-/// names (no CSV dropped, none left uncommitted) and the same bytes.
+/// Pool cells one suite run executes, at any width: the shared sweep's
+/// 1,665 (the power-curve cell, 26 benchmark cells and 3 seed cells for
+/// each of their 21 median runs) plus every other experiment's. An
+/// experiment that goes back to running the sweep's grid itself moves it.
+const SUITE_CELLS: usize = 2260;
+
+/// The committed-CSV gate: the full suite on a 1-wide and a 2-wide pool
+/// renders every table as the `<id>_<name>.csv` that `all --csv results/`
+/// writes, and those files must be exactly the committed `results/*.csv`
+/// — the same names (no CSV dropped, none left uncommitted) and the same
+/// bytes. Both widths run exactly [`SUITE_CELLS`] cells.
 #[test]
 fn suite_reproduces_every_committed_csv() {
-    let outputs = run_suite(ctx(), &Pool::new(2)).expect("the suite runs");
+    for jobs in [1, 2] {
+        let pool = Pool::new(jobs);
+        let outputs = run_suite(ctx(), &pool).expect("the suite runs");
+        assert_eq!(pool.stats().cells_run, SUITE_CELLS, "cells run at width {jobs}");
+        check_committed_csvs(&outputs, jobs);
+    }
+}
+
+fn check_committed_csvs(outputs: &[ExperimentOutput], jobs: usize) {
     let mut produced: Vec<(String, String)> = outputs
         .iter()
         .flat_map(|output| {
@@ -254,11 +271,16 @@ fn suite_reproduces_every_committed_csv() {
     let names = |files: &[(String, String)]| -> Vec<String> {
         files.iter().map(|(name, _)| name.clone()).collect()
     };
-    assert_eq!(names(&produced), names(&committed), "produced vs committed CSV names");
+    assert_eq!(
+        names(&produced),
+        names(&committed),
+        "produced vs committed CSV names at width {jobs}"
+    );
     for ((name, body), (_, committed_body)) in produced.iter().zip(&committed) {
         assert!(
             body == committed_body,
-            "{name} differs from results/{name}; `all --csv results/` and `git diff` show how"
+            "{name} differs from results/{name} at width {jobs}; \
+             `all --csv results/` and `git diff` show how"
         );
     }
 }

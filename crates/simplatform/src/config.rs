@@ -85,12 +85,6 @@ impl MachineConfig {
     pub fn execution_variation(&self) -> f64 {
         self.execution_variation
     }
-
-    /// Returns a copy with a different seed — the idiom for "run the same
-    /// experiment three times and take the median".
-    pub fn with_seed(&self, seed: u64) -> MachineConfig {
-        MachineConfig { seed, ..self.clone() }
-    }
 }
 
 impl Default for MachineConfig {
@@ -237,14 +231,5 @@ mod tests {
         assert!(MachineConfig::builder().execution_variation(0.5).build().is_err());
         assert!(MachineConfig::builder().execution_variation(-0.1).build().is_err());
         assert!(MachineConfig::builder().execution_variation(0.0).build().is_ok());
-    }
-
-    #[test]
-    fn with_seed_changes_only_seed() {
-        let a = MachineConfig::pentium_m_755(1);
-        let b = a.with_seed(2);
-        assert_eq!(b.seed(), 2);
-        assert_eq!(a.pstates(), b.pstates());
-        assert_eq!(a.execution_variation(), b.execution_variation());
     }
 }

@@ -126,11 +126,6 @@ impl PhaseDescriptor {
     pub fn with_instructions(&self, instructions: u64) -> PhaseDescriptor {
         PhaseDescriptor { instructions, ..self.clone() }
     }
-
-    /// Returns a copy of this phase with a different name.
-    pub fn with_name(&self, name: impl Into<String>) -> PhaseDescriptor {
-        PhaseDescriptor { name: name.into(), ..self.clone() }
-    }
 }
 
 /// Builder for [`PhaseDescriptor`]; see [`PhaseDescriptor::builder`].
@@ -391,13 +386,5 @@ mod tests {
         assert_eq!(scaled.instructions(), 42);
         assert_eq!(scaled.core_cpi(), phase.core_cpi());
         assert_eq!(scaled.overlap(), phase.overlap());
-    }
-
-    #[test]
-    fn with_name_renames_only() {
-        let phase = PhaseDescriptor::builder("old").build().unwrap();
-        let renamed = phase.with_name("new");
-        assert_eq!(renamed.name(), "new");
-        assert_eq!(renamed.instructions(), phase.instructions());
     }
 }

@@ -220,16 +220,6 @@ impl PStateTable {
     pub fn iter_descending(&self) -> impl Iterator<Item = (PStateId, &PState)> {
         self.states.iter().enumerate().rev().map(|(i, s)| (PStateId(i), s))
     }
-
-    /// The highest frequency in the table.
-    pub fn max_frequency(&self) -> MegaHertz {
-        self.states[self.states.len() - 1].frequency
-    }
-
-    /// The lowest frequency in the table.
-    pub fn min_frequency(&self) -> MegaHertz {
-        self.states[0].frequency
-    }
 }
 
 #[cfg(test)]
@@ -309,13 +299,6 @@ mod tests {
         let t = table();
         let (first, state) = t.iter_descending().next().unwrap();
         assert_eq!(first, t.highest());
-        assert_eq!(state.frequency(), t.max_frequency());
-    }
-
-    #[test]
-    fn min_max_frequency() {
-        let t = table();
-        assert_eq!(t.min_frequency().mhz(), 600);
-        assert_eq!(t.max_frequency().mhz(), 2000);
+        assert_eq!(state.frequency().mhz(), 2000);
     }
 }

@@ -274,31 +274,6 @@ pub fn parse_program(text: &str) -> Result<PhaseProgram, DslError> {
     Ok(if repeat > 1 { program.repeated(repeat) } else { program })
 }
 
-/// Serializes a program back into the text format (instruction budgets are
-/// written explicitly; `repeat` folding is not reconstructed).
-pub fn format_program(program: &PhaseProgram) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "name = {}", program.name());
-    for phase in program.phases() {
-        let _ = writeln!(out);
-        let _ = writeln!(out, "[phase {}]", phase.name());
-        let _ = writeln!(out, "instructions = {}", phase.instructions());
-        let _ = writeln!(out, "core_cpi = {}", phase.core_cpi());
-        let _ = writeln!(out, "decode_ratio = {}", phase.decode_ratio());
-        let _ = writeln!(out, "fp_fraction = {}", phase.fp_fraction());
-        let _ = writeln!(out, "mem_fraction = {}", phase.mem_fraction());
-        let _ = writeln!(out, "l1_mpi = {}", phase.l1_mpi());
-        let _ = writeln!(out, "l2_mpi = {}", phase.l2_mpi());
-        let _ = writeln!(out, "overlap = {}", phase.overlap());
-        let _ = writeln!(out, "activity = {}", phase.activity());
-        let _ = writeln!(out, "branch_fraction = {}", phase.branch_fraction());
-        let _ = writeln!(out, "mispredict_rate = {}", phase.mispredict_rate());
-        let _ = writeln!(out, "prefetch_per_inst = {}", phase.prefetch_per_inst());
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,14 +304,6 @@ activity = 1.2
         // with CPI 0.8 + default mispredicts ≈ 238 M instructions.
         let warm = &program.phases()[0];
         assert!(warm.instructions() > 200_000_000 && warm.instructions() < 260_000_000);
-    }
-
-    #[test]
-    fn round_trip_through_format() {
-        let program = parse_program(EXAMPLE).unwrap();
-        let text = format_program(&program);
-        let reparsed = parse_program(&text).unwrap();
-        assert_eq!(program, reparsed);
     }
 
     #[test]

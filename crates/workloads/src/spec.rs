@@ -25,7 +25,6 @@
 //! stays fast; all paper metrics are relative (speedups, savings), so the
 //! absolute scale is immaterial.
 
-use aapm_platform::error::Result;
 use aapm_platform::phase::PhaseDescriptor;
 use aapm_platform::pipeline::{evaluate, MemoryTimings};
 use aapm_platform::program::PhaseProgram;
@@ -350,15 +349,6 @@ pub fn program_time_at(
         .sum()
 }
 
-/// Convenience: returns the suite as (name, program) pairs.
-///
-/// # Errors
-///
-/// Never fails today; kept fallible for future data-driven suites.
-pub fn suite_programs() -> Result<Vec<(String, PhaseProgram)>> {
-    Ok(suite().into_iter().map(|b| (b.name.to_owned(), b.program)).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,12 +534,5 @@ mod tests {
             let second = &b.program().phases()[1];
             assert_ne!(first.name(), second.name());
         }
-    }
-
-    #[test]
-    fn suite_programs_match_suite() {
-        let pairs = suite_programs().unwrap();
-        assert_eq!(pairs.len(), 26);
-        assert_eq!(pairs[0].0, "gzip");
     }
 }
