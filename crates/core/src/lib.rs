@@ -72,6 +72,7 @@ pub mod cluster;
 pub mod combined_pm;
 pub mod feedback;
 pub mod governor;
+mod hold;
 pub mod json;
 pub mod layer;
 pub mod limits;
@@ -100,6 +101,6 @@ pub use report::RunReport;
 pub use runtime::{ScheduledCommand, Session, SessionBuilder, SessionStatus, SimulationConfig};
 pub use slo_save::{SloSave, SloSaveConfig};
 pub use spec::{GovernorSpec, RegistryEntry, SpecModels, REGISTRY};
-pub use thermal_guard::{ThermalGuard, ThermalGuardConfig};
+pub use thermal_guard::ThermalGuard;
 pub use throttle_save::ThrottleSave;
-pub use watchdog::{Watchdog, WatchdogConfig};
+pub use watchdog::Watchdog;

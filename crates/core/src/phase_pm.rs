@@ -72,7 +72,6 @@ impl GovernorLayer for PhasePm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pm::PmConfig;
     use aapm_platform::events::HardwareEvent;
     use aapm_platform::pstate::PStateTable;
     use aapm_platform::units::Seconds;
@@ -153,8 +152,9 @@ mod tests {
     }
 
     /// PM's stale-counter contract holds under the phase layer: a missed
-    /// PMC read's extrapolated DPC never raises the clock, `hold_samples`
-    /// stale intervals hold, and every later one steps down a state.
+    /// PMC read's extrapolated DPC never raises the clock,
+    /// `STALE_HOLD_SAMPLES` stale intervals hold, and every later one steps
+    /// down a state.
     #[test]
     fn stale_counters_hold_then_fail_safe() {
         let table = PStateTable::pentium_m_755();
@@ -166,7 +166,7 @@ mod tests {
             current = observe(&mut g, &table, current, 0.5, false).index();
             path.push(current);
         }
-        let hold = PmConfig::default().hold_samples;
+        let hold = PerformanceMaximizer::STALE_HOLD_SAMPLES;
         let mut expect = vec![2; hold];
         expect.push(1);
         expect.resize(40, 0);

@@ -68,12 +68,6 @@ impl RunReport {
         self.trace.violation_fraction(limit, window)
     }
 
-    /// Performance relative to a baseline run of the same workload:
-    /// `baseline_time / this_time` (> 1 means this run was faster).
-    pub fn speedup_over(&self, baseline: &RunReport) -> f64 {
-        baseline.execution_time / self.execution_time
-    }
-
     /// Performance reduction relative to a baseline:
     /// `1 − baseline_time / this_time` (positive = slower than baseline).
     pub fn performance_reduction_vs(&self, baseline: &RunReport) -> f64 {
@@ -110,8 +104,6 @@ mod tests {
     fn relative_metrics() {
         let fast = report(10.0, 150.0);
         let slow = report(12.5, 100.0);
-        assert!((slow.speedup_over(&fast) - 0.8).abs() < 1e-12);
-        assert!((fast.speedup_over(&slow) - 1.25).abs() < 1e-12);
         assert!((slow.performance_reduction_vs(&fast) - 0.2).abs() < 1e-12);
         assert!((slow.energy_savings_vs(&fast) - (1.0 - 100.0 / 150.0)).abs() < 1e-12);
     }

@@ -3,12 +3,14 @@
 //! Per-governor degradation (PM holding its last DPC, ThermalGuard failing
 //! safe without a sensor) assumes *some* telemetry channel still works. The
 //! watchdog covers the remaining case — a joint blackout where both the
-//! power meter and the counter driver go silent — by forcing a configured
-//! safe p-state after `loss_threshold` consecutive blind intervals and
-//! handing control back only after `recovery_samples` consecutive healthy
-//! ones. While engaged it still calls the inner governor every sample so
-//! its internal state (streaks, corrections, ceilings) tracks the run and
-//! is consistent when control returns.
+//! power meter and the counter driver go silent — by forcing the table's
+//! lowest p-state after [`LOSS_THRESHOLD`] consecutive blind intervals and
+//! handing control back only after [`RECOVERY_SAMPLES`] consecutive
+//! healthy ones. The lowest state draws the least power, so it is safe
+//! under any power limit the run may carry. While engaged the watchdog
+//! still calls the inner governor every sample so its internal state
+//! (streaks, corrections, ceilings) tracks the run and is consistent when
+//! control returns.
 
 use aapm_platform::error::PlatformError;
 use aapm_platform::pstate::PStateId;
@@ -17,29 +19,13 @@ use aapm_telemetry::metrics::{EventKind, Metrics};
 use crate::governor::{Governor, SampleContext};
 use crate::layer::GovernorLayer;
 
-/// Tunables of the telemetry watchdog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WatchdogConfig {
-    /// Consecutive blind intervals (no power sample *and* no fresh counter
-    /// sample) before the watchdog engages.
-    pub loss_threshold: usize,
-    /// P-state forced while engaged. The lowest state draws the least
-    /// power, so it is safe under any power limit the run may carry.
-    pub safe_pstate: PStateId,
-    /// Consecutive healthy intervals before control returns to the inner
-    /// governor.
-    pub recovery_samples: usize,
-}
+/// Consecutive blind intervals (no power sample *and* no fresh counter
+/// sample) before the watchdog engages.
+pub const LOSS_THRESHOLD: usize = 10;
 
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig {
-            loss_threshold: 10,
-            safe_pstate: PStateId::new(0),
-            recovery_samples: 10,
-        }
-    }
-}
+/// Consecutive healthy intervals before control returns to the inner
+/// governor.
+pub const RECOVERY_SAMPLES: usize = 10;
 
 /// A governor decorator forcing a safe p-state through telemetry blackouts.
 ///
@@ -60,7 +46,6 @@ impl Default for WatchdogConfig {
 #[derive(Debug, Clone)]
 pub struct Watchdog<G> {
     inner: G,
-    config: WatchdogConfig,
     loss_streak: usize,
     healthy_streak: usize,
     engaged: bool,
@@ -70,18 +55,12 @@ pub struct Watchdog<G> {
 }
 
 impl<G: Governor> Watchdog<G> {
-    /// Wraps `inner` with the default thresholds (engage after 10 blind
-    /// intervals, release after 10 healthy ones, safe state P0).
+    /// Wraps `inner`: engage after [`LOSS_THRESHOLD`] blind intervals,
+    /// release after [`RECOVERY_SAMPLES`] healthy ones.
     pub fn new(inner: G) -> Self {
-        Watchdog::with_config(inner, WatchdogConfig::default())
-    }
-
-    /// Wraps `inner` with explicit thresholds.
-    pub fn with_config(inner: G, config: WatchdogConfig) -> Self {
         let name = format!("watchdog<{}>", inner.name());
         Watchdog {
             inner,
-            config,
             loss_streak: 0,
             healthy_streak: 0,
             engaged: false,
@@ -93,11 +72,6 @@ impl<G: Governor> Watchdog<G> {
     /// The wrapped governor.
     pub fn inner(&self) -> &G {
         &self.inner
-    }
-
-    /// The watchdog thresholds.
-    pub fn config(&self) -> &WatchdogConfig {
-        &self.config
     }
 
     /// Whether the watchdog currently overrides the inner governor.
@@ -145,7 +119,7 @@ impl<G: Governor> GovernorLayer for Watchdog<G> {
         if Watchdog::<G>::is_blind(ctx) {
             self.loss_streak += 1;
             self.healthy_streak = 0;
-            if self.loss_streak >= self.config.loss_threshold && !self.engaged {
+            if self.loss_streak >= LOSS_THRESHOLD && !self.engaged {
                 self.engaged = true;
                 self.metrics.inc("watchdog.engagements");
                 self.metrics.event(
@@ -157,7 +131,7 @@ impl<G: Governor> GovernorLayer for Watchdog<G> {
             self.loss_streak = 0;
             if self.engaged {
                 self.healthy_streak += 1;
-                if self.healthy_streak >= self.config.recovery_samples {
+                if self.healthy_streak >= RECOVERY_SAMPLES {
                     self.engaged = false;
                     self.healthy_streak = 0;
                     self.metrics.inc("watchdog.releases");
@@ -168,11 +142,7 @@ impl<G: Governor> GovernorLayer for Watchdog<G> {
         // Always consult the inner governor so its state tracks the run.
         let wanted = self.inner.decide(ctx);
         if self.engaged {
-            if ctx.table.contains(self.config.safe_pstate) {
-                self.config.safe_pstate
-            } else {
-                ctx.table.lowest()
-            }
+            ctx.table.lowest()
         } else {
             wanted
         }
@@ -255,7 +225,7 @@ mod tests {
         let table = PStateTable::pentium_m_755();
         let mut dog = watchdog();
         let stale = stale_sample();
-        let threshold = dog.config().loss_threshold;
+        let threshold = LOSS_THRESHOLD;
         // Blind intervals below the threshold: inner governor still rules
         // (PM's own stale-hold keeps the current state).
         for i in 0..threshold - 1 {
@@ -305,7 +275,7 @@ mod tests {
         // Telemetry returns: stays engaged until a full healthy window.
         let s = fresh_sample(1.0);
         let p = power(8.0);
-        for i in 0..dog.config().recovery_samples - 1 {
+        for i in 0..RECOVERY_SAMPLES - 1 {
             let healthy = SampleContext {
                 counters: &s,
                 power: Some(&p),
@@ -342,7 +312,7 @@ mod tests {
             cycles: 20e6,
             counts: Vec::new(),
         };
-        for _ in 0..dog.config().loss_threshold {
+        for _ in 0..LOSS_THRESHOLD {
             let ctx = SampleContext {
                 counters: &empty,
                 power: None,
@@ -356,7 +326,7 @@ mod tests {
         assert!(dog.engaged(), "power loss alone must engage with empty counters");
         // With power back, the same empty sample is healthy again.
         let p = power(8.0);
-        for _ in 0..dog.config().recovery_samples {
+        for _ in 0..RECOVERY_SAMPLES {
             let ctx = SampleContext {
                 counters: &empty,
                 power: Some(&p),
@@ -376,7 +346,7 @@ mod tests {
         let mut dog = watchdog();
         // Power lost but counters fresh: governors handle this themselves.
         let s = fresh_sample(1.0);
-        for _ in 0..dog.config().loss_threshold * 3 {
+        for _ in 0..LOSS_THRESHOLD * 3 {
             let ctx = SampleContext {
                 counters: &s,
                 power: None,
@@ -391,7 +361,7 @@ mod tests {
         // Counters stale but power present: also not a blackout.
         let stale = stale_sample();
         let p = power(14.0);
-        for _ in 0..dog.config().loss_threshold * 3 {
+        for _ in 0..LOSS_THRESHOLD * 3 {
             let ctx = SampleContext {
                 counters: &stale,
                 power: Some(&p),

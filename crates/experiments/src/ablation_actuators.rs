@@ -12,7 +12,7 @@
 use aapm::baselines::Unconstrained;
 use aapm::governor::Governor;
 use aapm::spec::GovernorSpec;
-use aapm::thermal_guard::{ThermalGuard, ThermalGuardConfig};
+use aapm::thermal_guard::ThermalGuard;
 use aapm_platform::error::Result;
 use aapm_platform::thermal::Celsius;
 use aapm_workloads::spec;
@@ -20,8 +20,9 @@ use aapm_workloads::spec;
 use crate::context::ExperimentContext;
 use crate::output::ExperimentOutput;
 use crate::pool::Pool;
-// The thermal-envelope cell tunes `ThermalGuardConfig::cap`, which the spec
-// grammar does not expose, so it keeps the closure-based `median_run`.
+// The thermal-envelope cell sets its cap through `ThermalGuard::with_cap`,
+// which the spec grammar does not expose, so it keeps the closure-based
+// `median_run`.
 use crate::runner::{median_run, median_run_spec};
 use crate::table::{f3, pct, TextTable};
 
@@ -146,11 +147,8 @@ pub fn thermal_envelope(ctx: &ExperimentContext, pool: &Pool) -> Result<Experime
         )
     };
     let guarded_cell = move || {
-        let config = ThermalGuardConfig { cap, ..ThermalGuardConfig::default() };
-        let guard_factory = || {
-            Box::new(ThermalGuard::with_config(Unconstrained::new(), config))
-                as Box<dyn Governor>
-        };
+        let guard_factory =
+            || Box::new(ThermalGuard::with_cap(Unconstrained::new(), cap)) as Box<dyn Governor>;
         median_run(pool, &guard_factory, program_ref, ctx.table(), &[])
     };
     let cells: Vec<Box<dyn FnOnce() -> Result<_> + Send>> =

@@ -11,8 +11,9 @@
 //! ```
 //!
 //! `--jobs 1` forces the serial path (the determinism reference); the
-//! default fans experiment cells over every available core. Each run also
-//! writes `results/BENCH_suite.json` with wall-clock and pool statistics.
+//! default fans experiment cells over every available core. With
+//! `--csv <dir>` a run also writes `<dir>/BENCH_suite.json` with
+//! wall-clock and pool statistics.
 //! `--trace-out` enables the observability layer and writes one JSONL
 //! event stream per simulation run; `--metrics-out` writes an aggregated
 //! end-of-suite metrics snapshot. Both outputs are deterministic across
@@ -279,7 +280,8 @@ fn fuzz_mode(args: &[String]) -> ExitCode {
     }
 }
 
-/// Writes `results/BENCH_suite.json` (hand-rolled JSON: flat numbers only).
+/// Writes `<csv dir>/BENCH_suite.json` (hand-rolled JSON: flat numbers
+/// only).
 fn write_bench_report(
     path: &Path,
     id: &str,
@@ -447,14 +449,21 @@ fn main() -> ExitCode {
                     1.0
                 },
             );
-            let report = Path::new("results").join("BENCH_suite.json");
-            if let Err(e) =
-                write_bench_report(&report, &id, &stats, train_wall, suite_wall, outputs.len())
-            {
-                eprintln!("failed to write {}: {e}", report.display());
-                return ExitCode::FAILURE;
+            if let Some(dir) = &csv_dir {
+                let report = dir.join("BENCH_suite.json");
+                if let Err(e) = write_bench_report(
+                    &report,
+                    &id,
+                    &stats,
+                    train_wall,
+                    suite_wall,
+                    outputs.len(),
+                ) {
+                    eprintln!("failed to write {}: {e}", report.display());
+                    return ExitCode::FAILURE;
+                }
+                eprintln!("pool/timing report written to {}", report.display());
             }
-            eprintln!("pool/timing report written to {}", report.display());
             if let Some(observer) = &observer {
                 if let Err(e) = observer.finish(metrics_out.as_deref()) {
                     eprintln!("failed to write observability output: {e}");

@@ -10,21 +10,15 @@
 //! trading a bounded amount of performance instead.
 
 use aapm::limits::PowerLimit;
-use aapm::report::RunReport;
-use aapm::runtime::{Session, SimulationConfig};
-use aapm::spec::{GovernorSpec, SpecModels};
+use aapm::spec::GovernorSpec;
 use aapm_platform::error::Result;
-use aapm_platform::program::PhaseProgram;
-use aapm_platform::pstate::PStateTable;
-use aapm_platform::MachineConfig;
-use aapm_telemetry::faults::{FaultConfig, FaultStats};
-use aapm_telemetry::metrics::Metrics;
+use aapm_telemetry::faults::FaultConfig;
 use aapm_workloads::spec;
 
 use crate::context::ExperimentContext;
 use crate::output::ExperimentOutput;
 use crate::pool::Pool;
-use crate::runner::{sim_seed, RUN_SEEDS};
+use crate::runner::{median_run_impl, SeedFaults};
 use crate::table::{pct, TextTable};
 
 /// Fault rates swept (applied to power, thermal, and PMC channels; the
@@ -46,60 +40,6 @@ fn fault_config(rate: f64, seed: u64) -> FaultConfig {
         actuation_ignored_rate: rate / 2.0,
         ..FaultConfig::default()
     }
-}
-
-/// Median-execution-time faulted run over the paper's three seeds, fanned
-/// out over the pool. The governor is built fresh per seed from `spec`.
-fn median_faulted_run(
-    pool: &Pool,
-    spec: &GovernorSpec,
-    models: &SpecModels,
-    program: &PhaseProgram,
-    table: &PStateTable,
-    rate: f64,
-) -> Result<(RunReport, FaultStats)> {
-    let observer = pool.observer().cloned();
-    let spec_json = spec.to_json();
-    let spec_json = spec_json.as_str();
-    let cells: Vec<_> = RUN_SEEDS
-        .into_iter()
-        .map(|seed| {
-            let observer = observer.clone();
-            move || -> Result<(RunReport, FaultStats)> {
-                let machine = {
-                    let mut b = MachineConfig::builder();
-                    b.pstates(table.clone()).seed(seed);
-                    b.build()?
-                };
-                let sim = SimulationConfig {
-                    seed: sim_seed(seed),
-                    faults: fault_config(rate, seed ^ 0xFA17),
-                    ..SimulationConfig::default()
-                };
-                let mut governor = spec.build(models)?;
-                let metrics =
-                    if observer.is_some() { Metrics::enabled() } else { Metrics::disabled() };
-                let (report, stats) = Session::builder(machine, program.clone())
-                    .config(sim)
-                    .governor(governor.as_mut())
-                    .observer(&metrics)
-                    .run()?;
-                if let Some(observer) = &observer {
-                    let label = format!(
-                        "{}-{}-r{:.2}-s{seed}",
-                        report.workload, report.governor, rate
-                    );
-                    observer.observe_run_with_spec(&label, &metrics, Some(spec_json));
-                }
-                Ok((report, stats))
-            }
-        })
-        .collect();
-    let mut results = pool.run(cells).into_iter().collect::<Result<Vec<_>>>()?;
-    results.sort_by(|(a, _), (b, _)| {
-        a.execution_time.seconds().total_cmp(&b.execution_time.seconds())
-    });
-    Ok(results.swap_remove(results.len() / 2))
 }
 
 /// Runs the experiment.
@@ -130,13 +70,21 @@ pub fn run(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
     for governor_spec in specs_ref {
         for rate in DROPOUT_RATES {
             cells.push(move || -> Result<(f64, f64, u64)> {
-                let (report, stats) = median_faulted_run(
+                // The median of the paper's three seeds, each under its
+                // own fault plan; traces are labelled with the rate.
+                let spec_json = governor_spec.to_json();
+                let faults = SeedFaults {
+                    label: &format!("-r{rate:.2}"),
+                    config: &|seed| fault_config(rate, seed ^ 0xFA17),
+                };
+                let (report, stats) = median_run_impl(
                     pool,
-                    governor_spec,
-                    models_ref,
+                    &|| governor_spec.build(models_ref),
+                    Some(&spec_json),
                     ammp_ref.program(),
                     ctx.table(),
-                    rate,
+                    &[],
+                    Some(faults),
                 )?;
                 Ok((
                     report.execution_time.seconds(),

@@ -5,9 +5,10 @@
 //!
 //! Determinism contract: cells report in whatever order the pool finishes
 //! them, so the observer only *buffers* during the run. All output is
-//! produced by [`RunObserver::finish`], which sorts runs by label (ties
-//! broken by content) before assigning file names and merging, so the
-//! written artifacts do not depend on `--jobs` or scheduling.
+//! produced by [`RunObserver::finish`]. A trace file is named after its
+//! run's label and a hash of its body, so its name depends on that run
+//! alone; the aggregate merges runs sorted by label (ties broken by
+//! content). Neither depends on `--jobs` or scheduling.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -46,19 +47,11 @@ impl RunObserver {
     }
 
     /// Buffers one finished run's event stream and snapshot under `label`.
-    /// Labels need not be unique; duplicates are disambiguated with a
-    /// numeric suffix at write time.
-    pub fn observe_run(&self, label: &str, metrics: &Metrics) {
-        self.observe_run_with_spec(label, metrics, None);
-    }
-
-    /// Like [`observe_run`], but when the run's governor was built from a
+    /// Labels need not be unique. When the run's governor was built from a
     /// [`GovernorSpec`](aapm::spec::GovernorSpec), its JSON form is
     /// recorded as a `run_spec` header line ahead of the event stream, so
     /// a trace file is self-describing: the exact governor configuration
     /// travels with the events it produced.
-    ///
-    /// [`observe_run`]: RunObserver::observe_run
     pub fn observe_run_with_spec(&self, label: &str, metrics: &Metrics, spec_json: Option<&str>) {
         let mut jsonl = String::new();
         if let Some(spec) = spec_json {
@@ -78,9 +71,11 @@ impl RunObserver {
         self.runs.lock().expect("observer mutex is never poisoned").len()
     }
 
-    /// Writes all buffered output: one `<label>.jsonl` per run into the
-    /// trace directory (when configured) and, when `metrics_out` is given,
-    /// a single aggregated JSON snapshot across every observed run.
+    /// Writes all buffered output: each run's stream as
+    /// `<label>-<FNV-1a of the stream, 16 hex digits>.jsonl` into the trace
+    /// directory (when configured), so byte-identical runs under one label
+    /// share a file, and, when `metrics_out` is given, a single aggregated
+    /// JSON snapshot across every observed run.
     ///
     /// # Errors
     ///
@@ -90,22 +85,15 @@ impl RunObserver {
         let mut runs = self.runs.lock().expect("observer mutex is never poisoned");
         // Deterministic order regardless of pool scheduling: by label,
         // ties (identical cells re-run by different experiments) by
-        // content, so suffix assignment below is stable too.
+        // content, so the aggregate's floating-point sums are stable.
         runs.sort_by(|a, b| (&a.label, &a.jsonl).cmp(&(&b.label, &b.jsonl)));
 
         if let Some(dir) = &self.trace_dir {
             fs::create_dir_all(dir).map_err(|e| io_config_error("trace-out", dir, &e))?;
-            let mut used: BTreeMap<String, u32> = BTreeMap::new();
             for record in runs.iter() {
-                let base = sanitize_label(&record.label);
-                let occurrence = used.entry(base.clone()).or_insert(0);
-                *occurrence += 1;
-                let name = if *occurrence == 1 {
-                    format!("{base}.jsonl")
-                } else {
-                    format!("{base}-{occurrence}.jsonl")
-                };
-                let path = dir.join(name);
+                // A byte-identical re-run rewrites its first run's file.
+                let hash = fnv1a(record.jsonl.as_bytes());
+                let path = dir.join(format!("{}-{hash:016x}.jsonl", sanitize_label(&record.label)));
                 fs::write(&path, &record.jsonl)
                     .map_err(|e| io_config_error("trace-out", &path, &e))?;
             }
@@ -127,6 +115,13 @@ fn io_config_error(parameter: &'static str, path: &Path, error: &std::io::Error)
         parameter,
         reason: format!("cannot write {}: {error}", path.display()),
     }
+}
+
+/// 64-bit FNV-1a: the content half of a trace file's name.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
 }
 
 /// Maps a run label to a safe file stem (`watchdog<pm>` → `watchdog_pm_`).
@@ -239,7 +234,7 @@ mod tests {
             ];
             for &i in order {
                 let (label, v) = runs[i];
-                observer.observe_run(label, &instrumented("c.hit", v));
+                observer.observe_run_with_spec(label, &instrumented("c.hit", v), None);
             }
             assert_eq!(observer.runs_observed(), 3);
             observer.finish(Some(&out)).unwrap();
@@ -258,12 +253,12 @@ mod tests {
         assert_eq!(
             files_a,
             vec![
-                "ammp-pm-s11-2.jsonl".to_owned(),
-                "ammp-pm-s11.jsonl".to_owned(),
-                "art-ps-s23.jsonl".to_owned()
-            ]
+                "ammp-pm-s11-0818d1e692a3cd4c.jsonl".to_owned(),
+                "art-ps-s23-0818d1e692a3cd4c.jsonl".to_owned()
+            ],
+            "a byte-identical re-run shares its first run's file"
         );
-        assert!(json_a.contains("\"runs\": 3"));
+        assert!(json_a.contains("\"runs\": 3"), "the aggregate counts every run");
         assert!(json_a.contains("\"c.hit\": 3"));
         let _ = fs::remove_dir_all(&dir);
     }
@@ -278,7 +273,7 @@ mod tests {
             Some(r#"{"kind":"pm","limit_w":12.5}"#),
         );
         observer.finish(None).unwrap();
-        let trace = fs::read_to_string(dir.join("ammp-pm-s11.jsonl")).unwrap();
+        let trace = fs::read_to_string(dir.join("ammp-pm-s11-7347307f31869cc6.jsonl")).unwrap();
         let mut lines = trace.lines();
         let header = lines.next().unwrap();
         assert_eq!(
@@ -305,7 +300,7 @@ mod tests {
         let observer = RunObserver::new(None);
         let metrics = Metrics::enabled();
         metrics.gauge("g.bad", f64::NAN);
-        observer.observe_run("x", &metrics);
+        observer.observe_run_with_spec("x", &metrics, None);
         let runs = observer.runs.lock().unwrap();
         let json = aggregate_json(&runs);
         assert!(json.contains("null"), "{json}");

@@ -7,7 +7,8 @@
 //!
 //! [`median_run`] fans its seed runs out over a [`Pool`]: every seed builds
 //! a fresh `Machine`, DAQ, and governor, so the cells are fully isolated
-//! and their results are merged in deterministic submission order.
+//! and their results are merged in deterministic submission order. The
+//! fault matrix takes the same path with a fault plan per seed.
 //! [`worst_case_power_curve`] instead runs its eight short ungoverned
 //! p-state cells as one pool cell.
 
@@ -24,6 +25,7 @@ use aapm_platform::pstate::{PStateId, PStateTable};
 use aapm_platform::units::{MegaHertz, Seconds, Watts};
 use aapm_platform::MachineConfig;
 use aapm_telemetry::daq::{DaqConfig, PowerDaq};
+use aapm_telemetry::faults::{FaultConfig, FaultStats};
 use aapm_workloads::characterize::{characterize_with_budget, CharacterizedLoop};
 use aapm_workloads::footprint::Footprint;
 use aapm_workloads::loops::MicroLoop;
@@ -66,7 +68,8 @@ pub fn median_run(
     table: &PStateTable,
     commands: &[ScheduledCommand],
 ) -> Result<RunReport> {
-    median_run_impl(pool, &|| Ok(make_governor()), None, program, table, commands)
+    median_run_impl(pool, &|| Ok(make_governor()), None, program, table, commands, None)
+        .map(|(report, _)| report)
 }
 
 /// [`median_run`] for a registry-described governor: the fresh governor
@@ -88,62 +91,83 @@ pub fn median_run_spec(
     commands: &[ScheduledCommand],
 ) -> Result<RunReport> {
     let spec_json = spec.to_json();
-    median_run_impl(pool, &|| spec.build(models), Some(&spec_json), program, table, commands)
+    median_run_impl(pool, &|| spec.build(models), Some(&spec_json), program, table, commands, None)
+        .map(|(report, _)| report)
 }
 
-fn median_run_impl(
+/// Fault injection for every seed of a median run.
+#[derive(Clone, Copy)]
+pub(crate) struct SeedFaults<'a> {
+    /// Inserted ahead of the seed in each run's trace label (`-r0.05`).
+    pub(crate) label: &'a str,
+    /// The fault plan of the run at a machine seed.
+    pub(crate) config: &'a (dyn Fn(u64) -> FaultConfig + Sync),
+}
+
+/// The one median path: [`median_run`] and [`median_run_spec`] without
+/// faults, the fault matrix with them. Returns the median run's report
+/// and the faults that run injected.
+pub(crate) fn median_run_impl(
     pool: &Pool,
     make_governor: &(dyn Fn() -> Result<Box<dyn Governor>> + Sync),
     spec_json: Option<&str>,
     program: &PhaseProgram,
     table: &PStateTable,
     commands: &[ScheduledCommand],
-) -> Result<RunReport> {
+    faults: Option<SeedFaults<'_>>,
+) -> Result<(RunReport, FaultStats)> {
     let observer = pool.observer().cloned();
     let cells: Vec<_> = RUN_SEEDS
         .into_iter()
         .map(|seed| {
             let observer = observer.clone();
-            move || -> Result<RunReport> {
+            move || -> Result<(RunReport, FaultStats)> {
                 let machine = {
                     let mut b = MachineConfig::builder();
                     b.pstates(table.clone()).seed(seed);
                     b.build()?
                 };
-                let sim =
-                    SimulationConfig { seed: sim_seed(seed), ..SimulationConfig::default() };
+                let sim = SimulationConfig {
+                    seed: sim_seed(seed),
+                    faults: faults.map_or_else(FaultConfig::default, |f| (f.config)(seed)),
+                    ..SimulationConfig::default()
+                };
                 let mut governor = make_governor()?;
                 // Metrics are enabled only when an observer is attached, so
                 // un-observed suites pay nothing.
                 let metrics =
                     if observer.is_some() { Metrics::enabled() } else { Metrics::disabled() };
-                let (report, _stats) = Session::builder(machine, program.clone())
+                let (report, stats) = Session::builder(machine, program.clone())
                     .config(sim)
                     .governor(governor.as_mut())
                     .commands(commands)
                     .observer(&metrics)
                     .run()?;
                 if let Some(observer) = &observer {
-                    let label =
-                        format!("{}-{}-s{seed}", report.workload, report.governor);
+                    let label = format!(
+                        "{}-{}{}-s{seed}",
+                        report.workload,
+                        report.governor,
+                        faults.map_or("", |f| f.label)
+                    );
                     observer.observe_run_with_spec(&label, &metrics, spec_json);
                 }
-                Ok(report)
+                Ok((report, stats))
             }
         })
         .collect();
-    let reports = pool.run(cells).into_iter().collect::<Result<Vec<_>>>()?;
-    select_median(reports)
+    let runs = pool.run(cells).into_iter().collect::<Result<Vec<_>>>()?;
+    select_median(runs)
 }
 
-/// Picks the median-execution-time report out of a set of seed runs.
+/// Picks the median-execution-time run out of a set of seed runs.
 ///
 /// # Errors
 ///
 /// Returns [`PlatformError::NonFiniteMeasurement`] when any execution time
 /// is NaN or ±∞ — a garbage median must not silently enter the results.
-fn select_median(mut reports: Vec<RunReport>) -> Result<RunReport> {
-    for report in &reports {
+fn select_median(mut runs: Vec<(RunReport, FaultStats)>) -> Result<(RunReport, FaultStats)> {
+    for (report, _) in &runs {
         let time = report.execution_time.seconds();
         if !time.is_finite() {
             return Err(PlatformError::NonFiniteMeasurement {
@@ -152,9 +176,10 @@ fn select_median(mut reports: Vec<RunReport>) -> Result<RunReport> {
             });
         }
     }
-    reports
-        .sort_by(|a, b| a.execution_time.seconds().total_cmp(&b.execution_time.seconds()));
-    Ok(reports.swap_remove(reports.len() / 2))
+    runs.sort_by(|(a, _), (b, _)| {
+        a.execution_time.seconds().total_cmp(&b.execution_time.seconds())
+    });
+    Ok(runs.swap_remove(runs.len() / 2))
 }
 
 /// Measures the FMA-256K worst-case power at every p-state (our Table III):
@@ -310,7 +335,8 @@ mod tests {
         for bad_time in [nan, inf, Seconds::new(f64::NEG_INFINITY)] {
             let mut bad = good.clone();
             bad.execution_time = bad_time;
-            let result = select_median(vec![good.clone(), bad, good.clone()]);
+            let run = |report: RunReport| (report, FaultStats::default());
+            let result = select_median(vec![run(good.clone()), run(bad), run(good.clone())]);
             match result {
                 Err(PlatformError::NonFiniteMeasurement { quantity, .. }) => {
                     assert_eq!(quantity, "execution time");

@@ -12,8 +12,8 @@
 //!   baseline of the same program, compared against the lowest floor the
 //!   stack or command stream promises, plus the scenario's tolerance.
 //! - **liveness** — for watchdog stacks with a scheduled blackout long
-//!   enough to trip the loss threshold, the safe p-state must appear in
-//!   the trace within `loss_threshold + liveness_slack_intervals`
+//!   enough to trip the loss threshold, the safe (lowest) p-state must
+//!   appear in the trace within `LOSS_THRESHOLD + liveness_slack_intervals`
 //!   intervals of the window opening.
 //! - **conservation** — trace times strictly increase, measured energy
 //!   equals the sum of per-interval sample energy, and energies are
@@ -34,10 +34,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use aapm::runtime::{ScheduledCommand, Session, SimulationConfig};
 use aapm::spec::{GovernorSpec, SpecModels};
-use aapm::watchdog::WatchdogConfig;
+use aapm::watchdog::LOSS_THRESHOLD;
 use aapm::{Governor, RunReport, Unconstrained};
 use aapm_platform::config::MachineConfig;
 use aapm_platform::error::Result;
+use aapm_platform::pstate::PStateId;
 use aapm_telemetry::faults::{FaultKind, FaultStats};
 
 use crate::scenario::{CommandKind, Scenario};
@@ -426,9 +427,8 @@ fn liveness_property(scenario: &Scenario, report: &RunReport) -> Property {
     if !has_watchdog(&scenario.governor) {
         return Property::Skip;
     }
-    let config = WatchdogConfig::default();
     let slack = scenario.oracles.liveness_slack_intervals;
-    let deadline_intervals = (config.loss_threshold + slack) as f64;
+    let deadline_intervals = (LOSS_THRESHOLD + slack) as f64;
     let interval = report.trace.interval().seconds();
     let records = report.trace.records();
     let Some(last) = records.last() else {
@@ -451,7 +451,7 @@ fn liveness_property(scenario: &Scenario, report: &RunReport) -> Property {
         // the trace must extend past the deadline for the check to mean
         // anything.
         let deadline = window.start + deadline_intervals * interval;
-        if window.end < window.start + (config.loss_threshold as f64 + 1.0) * interval
+        if window.end < window.start + (LOSS_THRESHOLD as f64 + 1.0) * interval
             || last.time.seconds() < deadline
         {
             continue;
@@ -472,7 +472,8 @@ fn liveness_property(scenario: &Scenario, report: &RunReport) -> Property {
         applicable = true;
         let engaged = records.iter().find_map(|r| {
             let t = r.time.seconds();
-            (t >= window.start && r.pstate == config.safe_pstate)
+            // The watchdog forces the table's lowest state.
+            (t >= window.start && r.pstate == PStateId::new(0))
                 .then(|| (t - window.start) / interval)
         });
         match engaged {

@@ -15,8 +15,7 @@
 //! * [`fit`] — least-absolute-error linear fitting;
 //! * [`online`] — recursive (forgetting-factor) refit of the power model
 //!   from the live counter stream, with a Mazzola-style multi-counter
-//!   basis (feeds the `adaptive` governor layer);
-//! * [`eval`] — per-sample accuracy scoring.
+//!   basis (feeds the `adaptive` governor layer).
 //!
 //! # Examples
 //!
@@ -41,7 +40,6 @@
 //! ```
 
 pub mod dpc_projection;
-pub mod eval;
 pub mod fit;
 pub mod online;
 pub mod perf_model;

@@ -97,10 +97,6 @@ impl Default for MachineConfig {
 #[derive(Debug, Clone)]
 pub struct MachineConfigBuilder {
     pstates: PStateTable,
-    timings: MemoryTimings,
-    power_constants: PowerConstants,
-    dvfs: DvfsParams,
-    thermal: ThermalParams,
     initial_pstate: Option<PStateId>,
     seed: u64,
     execution_variation: f64,
@@ -110,10 +106,6 @@ impl MachineConfigBuilder {
     fn new() -> Self {
         MachineConfigBuilder {
             pstates: PStateTable::pentium_m_755(),
-            timings: MemoryTimings::pentium_m_755(),
-            power_constants: PowerConstants::calibrated(),
-            dvfs: DvfsParams::enhanced_speedstep(),
-            thermal: ThermalParams::pentium_m_mobile(),
             initial_pstate: None,
             seed: 0,
             execution_variation: 0.004,
@@ -123,30 +115,6 @@ impl MachineConfigBuilder {
     /// Replaces the p-state table.
     pub fn pstates(&mut self, pstates: PStateTable) -> &mut Self {
         self.pstates = pstates;
-        self
-    }
-
-    /// Replaces the memory timings.
-    pub fn timings(&mut self, timings: MemoryTimings) -> &mut Self {
-        self.timings = timings;
-        self
-    }
-
-    /// Replaces the ground-truth power constants.
-    pub fn power_constants(&mut self, constants: PowerConstants) -> &mut Self {
-        self.power_constants = constants;
-        self
-    }
-
-    /// Replaces the DVFS transition parameters.
-    pub fn dvfs(&mut self, dvfs: DvfsParams) -> &mut Self {
-        self.dvfs = dvfs;
-        self
-    }
-
-    /// Replaces the thermal-path parameters.
-    pub fn thermal(&mut self, thermal: ThermalParams) -> &mut Self {
-        self.thermal = thermal;
         self
     }
 
@@ -190,10 +158,10 @@ impl MachineConfigBuilder {
         }
         Ok(MachineConfig {
             pstates: self.pstates.clone(),
-            timings: self.timings,
-            power: GroundTruthPower::new(self.power_constants),
-            dvfs: self.dvfs,
-            thermal: self.thermal,
+            timings: MemoryTimings::pentium_m_755(),
+            power: GroundTruthPower::new(PowerConstants::calibrated()),
+            dvfs: DvfsParams::enhanced_speedstep(),
+            thermal: ThermalParams::pentium_m_mobile(),
             initial_pstate: initial,
             seed: self.seed,
             execution_variation: self.execution_variation,

@@ -31,14 +31,6 @@ impl NoiseSource {
         NoiseSource { rng: SmallRng::seed_from_u64(seed), spare: None }
     }
 
-    /// Creates a derived source whose stream is independent of, but fully
-    /// determined by, this one. Used to give each component (DAQ, machine,
-    /// PMC) its own stream from one experiment seed.
-    pub fn fork(&mut self, stream: u64) -> NoiseSource {
-        let seed = self.rng.random::<u64>() ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        NoiseSource::seeded(seed)
-    }
-
     /// A Gaussian deviate with the given mean and standard deviation
     /// (Box–Muller with spare caching).
     pub fn gaussian(&mut self, mean: f64, std_dev: f64) -> f64 {
@@ -108,20 +100,6 @@ mod tests {
         let mut b = NoiseSource::seeded(2);
         let same = (0..32).filter(|_| a.below(u64::MAX) == b.below(u64::MAX)).count();
         assert_eq!(same, 0);
-    }
-
-    #[test]
-    fn forks_are_deterministic_and_distinct() {
-        let mut root1 = NoiseSource::seeded(9);
-        let mut root2 = NoiseSource::seeded(9);
-        let mut f1 = root1.fork(1);
-        let mut f2 = root2.fork(1);
-        assert_eq!(f1.below(u64::MAX), f2.below(u64::MAX));
-
-        let mut root = NoiseSource::seeded(9);
-        let mut fa = root.fork(1);
-        let mut fb = root.fork(1);
-        assert_ne!(fa.below(u64::MAX), fb.below(u64::MAX), "sequential forks differ");
     }
 
     #[test]

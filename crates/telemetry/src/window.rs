@@ -122,13 +122,6 @@ impl MovingWindow {
         crate::stats::percentile_of_sorted(&self.sorted, p)
     }
 
-    /// Whether every held value satisfies `predicate`. `false` when the
-    /// window is not yet full (PM requires a *full* window of good samples
-    /// before raising frequency).
-    pub fn full_and_all(&self, mut predicate: impl FnMut(f64) -> bool) -> bool {
-        self.is_full() && self.values.iter().all(|&v| predicate(v))
-    }
-
     /// Clears the window.
     pub fn clear(&mut self) {
         self.values.clear();
@@ -172,18 +165,6 @@ mod tests {
         assert_eq!(w.max(), Some(4.0));
         assert_eq!(w.min(), Some(2.0));
         assert!(!w.is_full());
-    }
-
-    #[test]
-    fn full_and_all_requires_full_window() {
-        let mut w = MovingWindow::new(3);
-        w.push(1.0);
-        w.push(1.0);
-        assert!(!w.full_and_all(|v| v < 2.0), "not full yet");
-        w.push(1.0);
-        assert!(w.full_and_all(|v| v < 2.0));
-        w.push(5.0);
-        assert!(!w.full_and_all(|v| v < 2.0));
     }
 
     #[test]

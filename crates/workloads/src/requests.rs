@@ -93,7 +93,6 @@ pub struct RequestWorkloadBuilder {
     mean_instructions: f64,
     tail_alpha: f64,
     tail_cap: f64,
-    service: Option<PhaseDescriptor>,
 }
 
 impl RequestWorkloadBuilder {
@@ -131,13 +130,6 @@ impl RequestWorkloadBuilder {
         self.mean_instructions = mean_instructions;
         self.tail_alpha = alpha;
         self.tail_cap = cap;
-        self
-    }
-
-    /// Overrides the per-request instruction mix (default: a web-serving
-    /// blend — moderate CPI, some memory traffic, branchy).
-    pub fn service(&mut self, service: PhaseDescriptor) -> &mut Self {
-        self.service = Some(service);
         self
     }
 
@@ -197,10 +189,7 @@ impl RequestWorkloadBuilder {
                 format!("tail cap {} must exceed 1", self.tail_cap),
             ));
         }
-        let service = match &self.service {
-            Some(phase) => phase.clone(),
-            None => default_service_phase()?,
-        };
+        let service = default_service_phase()?;
         // Envelope for thinning: the diurnal peak times the largest burst
         // amplification at any instant. `rate_at` multiplies every burst
         // covering `t`, so overlapping bursts compound (multipliers < 1
@@ -246,7 +235,8 @@ impl RequestWorkloadBuilder {
     }
 }
 
-/// The default per-request instruction mix: a web-serving blend.
+/// The per-request instruction mix: a web-serving blend — moderate CPI,
+/// some memory traffic, branchy.
 fn default_service_phase() -> Result<PhaseDescriptor> {
     PhaseDescriptor::builder("serve-request")
         .instructions(1) // demand comes from each request
@@ -319,7 +309,6 @@ impl RequestWorkload {
             mean_instructions: 2e6,
             tail_alpha: 1.5,
             tail_cap: 50.0,
-            service: None,
         }
     }
 

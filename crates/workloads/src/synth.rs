@@ -9,50 +9,32 @@ use aapm_platform::noise::NoiseSource;
 use aapm_platform::phase::PhaseDescriptor;
 use aapm_platform::program::PhaseProgram;
 
-/// Bounds for random phase generation.
-#[derive(Debug, Clone, Copy)]
-pub struct SynthBounds {
-    /// Minimum and maximum instructions per phase.
-    pub instructions: (u64, u64),
-    /// Range of core CPI.
-    pub core_cpi: (f64, f64),
-    /// Range of decode ratio.
-    pub decode_ratio: (f64, f64),
-    /// Maximum L1 misses per instruction.
-    pub max_l1_mpi: f64,
-    /// Maximum activity factor.
-    pub max_activity: f64,
-}
-
-impl Default for SynthBounds {
-    fn default() -> Self {
-        SynthBounds {
-            instructions: (1_000_000, 2_000_000_000),
-            core_cpi: (0.4, 2.0),
-            decode_ratio: (1.0, 1.6),
-            max_l1_mpi: 0.12,
-            max_activity: 1.35,
-        }
-    }
-}
+/// Minimum and maximum instructions per phase.
+const INSTRUCTIONS: (u64, u64) = (1_000_000, 2_000_000_000);
+/// Range of core CPI.
+const CORE_CPI: (f64, f64) = (0.4, 2.0);
+/// Range of decode ratio.
+const DECODE_RATIO: (f64, f64) = (1.0, 1.6);
+/// Maximum L1 misses per instruction.
+const MAX_L1_MPI: f64 = 0.12;
+/// Maximum activity factor.
+const MAX_ACTIVITY: f64 = 1.35;
 
 /// Generates one random, always-valid phase.
-pub fn random_phase(noise: &mut NoiseSource, index: usize, bounds: &SynthBounds) -> PhaseDescriptor {
+fn random_phase(noise: &mut NoiseSource, index: usize) -> PhaseDescriptor {
     let mem_fraction = noise.uniform(0.1, 0.55);
-    let l1_mpi = noise.uniform(0.0, bounds.max_l1_mpi.min(mem_fraction));
+    let l1_mpi = noise.uniform(0.0, MAX_L1_MPI.min(mem_fraction));
     let l2_mpi = noise.uniform(0.0, l1_mpi.max(1e-9));
     PhaseDescriptor::builder(format!("synth-{index}"))
-        .instructions(
-            bounds.instructions.0 + noise.below(bounds.instructions.1 - bounds.instructions.0),
-        )
-        .core_cpi(noise.uniform(bounds.core_cpi.0, bounds.core_cpi.1))
-        .decode_ratio(noise.uniform(bounds.decode_ratio.0, bounds.decode_ratio.1))
+        .instructions(INSTRUCTIONS.0 + noise.below(INSTRUCTIONS.1 - INSTRUCTIONS.0))
+        .core_cpi(noise.uniform(CORE_CPI.0, CORE_CPI.1))
+        .decode_ratio(noise.uniform(DECODE_RATIO.0, DECODE_RATIO.1))
         .fp_fraction(noise.uniform(0.0, 0.4))
         .mem_fraction(mem_fraction)
         .l1_mpi(l1_mpi)
         .l2_mpi(l2_mpi)
         .overlap(noise.uniform(0.0, 0.9))
-        .activity(noise.uniform(0.7, bounds.max_activity))
+        .activity(noise.uniform(0.7, MAX_ACTIVITY))
         .branch_fraction(noise.uniform(0.03, 0.25))
         .mispredict_rate(noise.uniform(0.0, 0.1))
         .build()
@@ -67,9 +49,8 @@ pub fn random_phase(noise: &mut NoiseSource, index: usize, bounds: &SynthBounds)
 pub fn random_program(seed: u64, max_phases: usize) -> PhaseProgram {
     assert!(max_phases > 0, "max_phases must be positive");
     let mut noise = NoiseSource::seeded(seed);
-    let bounds = SynthBounds::default();
     let count = 1 + noise.below(max_phases as u64) as usize;
-    let phases = (0..count).map(|i| random_phase(&mut noise, i, &bounds)).collect();
+    let phases = (0..count).map(|i| random_phase(&mut noise, i)).collect();
     PhaseProgram::new(format!("synth-program-{seed}"), phases)
         .expect("at least one phase generated")
 }
@@ -97,13 +78,12 @@ mod tests {
     #[test]
     fn generated_phases_respect_bounds() {
         let mut noise = NoiseSource::seeded(3);
-        let bounds = SynthBounds::default();
         for i in 0..200 {
-            let p = random_phase(&mut noise, i, &bounds);
+            let p = random_phase(&mut noise, i);
             assert!(p.l1_mpi() <= p.mem_fraction());
             assert!(p.l2_mpi() <= p.l1_mpi() + 1e-12);
-            assert!(p.core_cpi() >= bounds.core_cpi.0 && p.core_cpi() <= bounds.core_cpi.1);
-            assert!(p.activity() <= bounds.max_activity);
+            assert!(p.core_cpi() >= CORE_CPI.0 && p.core_cpi() <= CORE_CPI.1);
+            assert!(p.activity() <= MAX_ACTIVITY);
         }
     }
 }

@@ -81,7 +81,7 @@ fn fixtures() -> Vec<(&'static str, Scenario)> {
     out.push(("003-ps-floor-pmc-outage.json", ps));
 
     // 004 — watchdog liveness through a clean blackout: the safe p-state
-    // must appear within loss_threshold + slack intervals of the outage.
+    // must appear within LOSS_THRESHOLD + slack intervals of the outage.
     let mut dog = base(
         "watchdog-blackout-liveness",
         GovernorSpec::Watchdog { inner: Box::new(GovernorSpec::Pm { limit_w: 30.0 }) },
@@ -214,7 +214,7 @@ fn fixtures() -> Vec<(&'static str, Scenario)> {
     // 014 — phase-aware PM through a PMC outage that opens in the cool
     // segment, with the hot one next. PhasePm decides through PM's control
     // law, so it must keep PM's stale-counter contract: never raise on
-    // extrapolated DPC, hold for `hold_samples`, then step down. A phase
+    // extrapolated DPC, hold for `STALE_HOLD_SAMPLES`, then step down. A phase
     // layer that raised on the outage's DPC would run the hot segment over
     // the cap (cap=FAIL); the verdict pins the hold and the fail-safe.
     let mut phase = base("phase-pm-pmc-outage", GovernorSpec::PhasePm { limit_w: 13.5 }, {

@@ -12,7 +12,7 @@ use aapm::governor::Governor;
 use aapm::limits::PowerLimit;
 use aapm::pm::PerformanceMaximizer;
 use aapm::runtime::{Session, SimulationConfig};
-use aapm::thermal_guard::{ThermalGuard, ThermalGuardConfig};
+use aapm::thermal_guard::ThermalGuard;
 use aapm_models::power_model::PowerModel;
 use aapm_platform::config::MachineConfig;
 use aapm_platform::thermal::{Celsius, ThermalModel};
@@ -65,12 +65,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     // ThermalGuard over PM: same power limit, plus a 72 °C die cap.
-    let config = ThermalGuardConfig { cap: Celsius::new(cap), ..ThermalGuardConfig::default() };
     run_one(
         "thermal<pm> @17.5 W, 72 C",
-        &mut ThermalGuard::with_config(
+        &mut ThermalGuard::with_cap(
             PerformanceMaximizer::new(model, PowerLimit::new(17.5)?),
-            config,
+            Celsius::new(cap),
         ),
     )?;
 

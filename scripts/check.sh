@@ -15,11 +15,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --offline
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 # Deprecation gate: the pre-builder run/run_with_faults/run_observed free
-# functions are deleted. The symbols must stay gone everywhere — as
-# definitions or as call sites; every run goes through Session::builder.
-if grep -rnE '\b(run_with_faults|run_observed|runtime::run)\b' \
+# functions are deleted, and so are the degradation configs whose knobs no
+# caller set (the hold windows and thresholds are constants) and the fault
+# matrix's private copy of the median run. The symbols must stay gone
+# everywhere — as definitions or as call sites; every run goes through
+# Session::builder, and every median through the runner's one path.
+if grep -rnE '\b(run_with_faults|run_observed|runtime::run|PsConfig|WatchdogConfig|ThermalGuardConfig|median_faulted_run)\b' \
     --include='*.rs' src examples tests crates; then
-    echo "deprecation gate FAIL: deleted run_*/runtime::run symbols reappeared" >&2
+    echo "deprecation gate FAIL: deleted symbols reappeared" >&2
     exit 1
 fi
 

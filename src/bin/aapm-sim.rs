@@ -23,7 +23,7 @@ use aapm::limits::{PerformanceFloor, PowerLimit};
 use aapm::pm::PerformanceMaximizer;
 use aapm::ps::PowerSave;
 use aapm::runtime::{Session, SimulationConfig};
-use aapm::thermal_guard::{ThermalGuard, ThermalGuardConfig};
+use aapm::thermal_guard::ThermalGuard;
 use aapm::throttle_save::ThrottleSave;
 use aapm_models::perf_model::{PerfModel, PerfModelParams};
 use aapm_models::power_model::PowerModel;
@@ -148,16 +148,10 @@ fn build_governor(args: &Args, table: &PStateTable) -> Result<Box<dyn Governor>,
         "dbs" => Box::new(DemandBasedSwitching::new()),
         "pm" => Box::new(PerformanceMaximizer::new(power_model(args, table)?, limit)),
         "pm-feedback" => Box::new(FeedbackPm::new(power_model(args, table)?, limit)),
-        "thermal-pm" => {
-            let config = ThermalGuardConfig {
-                cap: Celsius::new(args.cap),
-                ..ThermalGuardConfig::default()
-            };
-            Box::new(ThermalGuard::with_config(
-                PerformanceMaximizer::new(power_model(args, table)?, limit),
-                config,
-            ))
-        }
+        "thermal-pm" => Box::new(ThermalGuard::with_cap(
+            PerformanceMaximizer::new(power_model(args, table)?, limit),
+            Celsius::new(args.cap),
+        )),
         "ps" => Box::new(PowerSave::new(PerfModel::new(PerfModelParams::paper()), floor)),
         "ps-alt" => {
             Box::new(PowerSave::new(PerfModel::new(PerfModelParams::paper_alternate()), floor))

@@ -8,7 +8,7 @@ use aapm::governor::Governor;
 use aapm::limits::{PerformanceFloor, PowerLimit};
 use aapm::pm::PerformanceMaximizer;
 use aapm::runtime::Session;
-use aapm::thermal_guard::{ThermalGuard, ThermalGuardConfig};
+use aapm::thermal_guard::ThermalGuard;
 use aapm::throttle_save::ThrottleSave;
 use aapm_models::power_model::PowerModel;
 use aapm_platform::config::MachineConfig;
@@ -73,10 +73,9 @@ fn thermal_guard_composes_over_pm() {
     let program = bench.program().scaled(4.0);
     let cap = Celsius::new(72.0);
     let limit = PowerLimit::new(17.5).unwrap();
-    let config = ThermalGuardConfig { cap, ..ThermalGuardConfig::default() };
-    let mut governor = ThermalGuard::with_config(
+    let mut governor = ThermalGuard::with_cap(
         PerformanceMaximizer::new(PowerModel::paper_table_ii(), limit),
-        config,
+        cap,
     );
     let report = run_under(&mut governor, program);
     assert!(report.completed);

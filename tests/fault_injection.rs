@@ -7,7 +7,7 @@ use aapm::limits::PowerLimit;
 use aapm::pm::PerformanceMaximizer;
 use aapm::runtime::{ScheduledCommand, Session, SimulationConfig};
 use aapm::slo_save::SloSave;
-use aapm::watchdog::{Watchdog, WatchdogConfig};
+use aapm::watchdog::Watchdog;
 use aapm::GovernorCommand;
 use aapm_models::power_model::PowerModel;
 use aapm_platform::config::MachineConfig;
@@ -109,8 +109,7 @@ fn watchdog_forces_safe_pstate_through_blackout_and_recovers() {
         end: Seconds::new(2.0),
         kind: FaultKind::Blackout,
     };
-    let config = WatchdogConfig::default();
-    let mut dog = Watchdog::with_config(pm(30.0), config);
+    let mut dog = Watchdog::new(pm(30.0));
     // A long program so the run spans well past the window.
     let program = short_program(7).scaled(10.0);
     let (report, stats) = Session::builder(MachineConfig::pentium_m_755(7), program)
@@ -124,11 +123,12 @@ fn watchdog_forces_safe_pstate_through_blackout_and_recovers() {
     let interval = report.trace.interval().seconds();
     let at = |t: f64| ((t / interval) as usize).min(records.len() - 1);
     // Well inside the window (threshold 10 intervals + margin for the
-    // engage decision and p-state transition to propagate): safe state.
+    // engage decision and p-state transition to propagate): the safe
+    // state, the table's lowest.
     for record in &records[at(1.3)..at(1.9)] {
         assert_eq!(
             record.pstate,
-            config.safe_pstate,
+            PStateId::new(0),
             "watchdog must hold the safe state at t={}",
             record.time
         );

@@ -7,7 +7,7 @@ use aapm::governor::GovernorCommand;
 use aapm::limits::PowerLimit;
 use aapm::pm::PerformanceMaximizer;
 use aapm::runtime::{ScheduledCommand, Session, SimulationConfig};
-use aapm::thermal_guard::{ThermalGuard, ThermalGuardConfig};
+use aapm::thermal_guard::ThermalGuard;
 use aapm::watchdog::Watchdog;
 use aapm_models::power_model::PowerModel;
 use aapm_platform::config::MachineConfig;
@@ -37,11 +37,9 @@ fn every_level_of_a_two_deep_stack_records_metrics() {
         end: Seconds::new(2.0),
         kind: FaultKind::Blackout,
     };
-    let guard_config =
-        ThermalGuardConfig { cap: Celsius::new(72.0), ..ThermalGuardConfig::default() };
     // Generous 30 W limit so the thermal envelope, not the power limit,
     // is the binding constraint once telemetry recovers.
-    let mut stack = Watchdog::new(ThermalGuard::with_config(pm(30.0), guard_config));
+    let mut stack = Watchdog::new(ThermalGuard::with_cap(pm(30.0), Celsius::new(72.0)));
 
     let metrics = Metrics::enabled();
     let (report, stats) = Session::builder(MachineConfig::pentium_m_755(7), program)
