@@ -8,9 +8,17 @@
 //! * `ablation-thermal` — a die-temperature envelope layered over the
 //!   unconstrained governor: the guard holds the cap that free-running
 //!   execution of a hot workload would exceed.
+//! * `ablation-deepcap` — plain PM vs combined DVFS + clock modulation at
+//!   caps below the lowest p-state's power.
+//! * `ablation-phase` — PM's fixed raise window vs phase-triggered raises.
+//!
+//! The throttle, deep-cap and phase studies read the unconstrained
+//! reference and plain PM at the sweep limits from the shared suite sweep
+//! ([`ps_sweep`](crate::ps_sweep)) and run only the governors they study.
 
 use aapm::baselines::Unconstrained;
 use aapm::governor::Governor;
+use aapm::report::RunReport;
 use aapm::spec::GovernorSpec;
 use aapm::thermal_guard::ThermalGuard;
 use aapm_platform::error::Result;
@@ -20,6 +28,7 @@ use aapm_workloads::spec;
 use crate::context::ExperimentContext;
 use crate::output::ExperimentOutput;
 use crate::pool::Pool;
+use crate::ps_sweep::{LimitRuns, PsSweep};
 // The thermal-envelope cell sets its cap through `ThermalGuard::with_cap`,
 // which the spec grammar does not expose, so it keeps the closure-based
 // `median_run`.
@@ -31,7 +40,11 @@ use crate::table::{f3, pct, TextTable};
 /// # Errors
 ///
 /// Propagates platform errors.
-pub fn throttle_vs_dvfs(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
+pub fn throttle_vs_dvfs(
+    ctx: &ExperimentContext,
+    pool: &Pool,
+    sweep: &PsSweep,
+) -> Result<ExperimentOutput> {
     let mut out = ExperimentOutput::new(
         "ablation-throttle",
         "Energy at matched floors: DVFS PowerSave vs clock-throttling ThrottleSave",
@@ -45,8 +58,8 @@ pub fn throttle_vs_dvfs(ctx: &ExperimentContext, pool: &Pool) -> Result<Experime
         "throttle_realized",
     ]);
     let mut dvfs_always_wins = true;
-    // One cell per benchmark; each covers its two floors against a shared
-    // unconstrained reference.
+    // One cell per benchmark; each covers its two floors against the
+    // sweep's unconstrained reference.
     type FloorRow = (f64, f64, f64, f64, f64);
     let names = ["sixtrack", "gzip", "swim"];
     let models = ctx.spec_models();
@@ -56,14 +69,10 @@ pub fn throttle_vs_dvfs(ctx: &ExperimentContext, pool: &Pool) -> Result<Experime
         .map(|name| {
             move || -> Result<Vec<FloorRow>> {
                 let bench = spec::by_name(name).expect("known benchmark");
-                let reference = median_run_spec(
-                    pool,
-                    &GovernorSpec::Unconstrained,
-                    models_ref,
-                    bench.program(),
-                    ctx.table(),
-                    &[],
-                )?;
+                let reference = sweep.benchmark(name).expect("known benchmark").unconstrained;
+                let savings =
+                    |run: &RunReport| 1.0 - run.measured_energy.joules() / reference.energy_j;
+                let realized = |run: &RunReport| reference.time_s / run.execution_time.seconds();
                 let mut rows = Vec::new();
                 for floor in [0.75, 0.5] {
                     let ps = median_run_spec(
@@ -72,7 +81,6 @@ pub fn throttle_vs_dvfs(ctx: &ExperimentContext, pool: &Pool) -> Result<Experime
                         models_ref,
                         bench.program(),
                         ctx.table(),
-                        &[],
                     )?;
                     let throttled = median_run_spec(
                         pool,
@@ -80,14 +88,13 @@ pub fn throttle_vs_dvfs(ctx: &ExperimentContext, pool: &Pool) -> Result<Experime
                         models_ref,
                         bench.program(),
                         ctx.table(),
-                        &[],
                     )?;
                     rows.push((
                         floor,
-                        ps.energy_savings_vs(&reference),
-                        throttled.energy_savings_vs(&reference),
-                        reference.execution_time / ps.execution_time,
-                        reference.execution_time / throttled.execution_time,
+                        savings(&ps),
+                        savings(&throttled),
+                        realized(&ps),
+                        realized(&throttled),
                     ));
                 }
                 Ok(rows)
@@ -137,19 +144,13 @@ pub fn thermal_envelope(ctx: &ExperimentContext, pool: &Pool) -> Result<Experime
     let models = ctx.spec_models();
     let models_ref = &models;
     let free_cell = move || {
-        median_run_spec(
-            pool,
-            &GovernorSpec::Unconstrained,
-            models_ref,
-            program_ref,
-            ctx.table(),
-            &[],
-        )
+        median_run_spec(pool, &GovernorSpec::Unconstrained, models_ref, program_ref, ctx.table())
     };
     let guarded_cell = move || {
         let guard_factory =
             || Box::new(ThermalGuard::with_cap(Unconstrained::new(), cap)) as Box<dyn Governor>;
-        median_run(pool, &guard_factory, program_ref, ctx.table(), &[])
+        let infix = format!("-cap{:.0}", cap.degrees());
+        median_run(pool, &infix, &guard_factory, program_ref, ctx.table())
     };
     let cells: Vec<Box<dyn FnOnce() -> Result<_> + Send>> =
         vec![Box::new(free_cell), Box::new(guarded_cell)];
@@ -160,7 +161,7 @@ pub fn thermal_envelope(ctx: &ExperimentContext, pool: &Pool) -> Result<Experime
     // Reconstruct the temperature trajectories from the power traces using
     // the platform's RC model (the runtime reports power, not temperature,
     // in its trace).
-    let trajectory = |report: &aapm::report::RunReport| {
+    let trajectory = |report: &RunReport| {
         let mut model =
             aapm_platform::thermal::ThermalModel::new(*aapm_platform::MachineConfig::default().thermal());
         let mut peak = model.temperature().degrees();
@@ -203,7 +204,11 @@ pub fn thermal_envelope(ctx: &ExperimentContext, pool: &Pool) -> Result<Experime
 /// # Errors
 ///
 /// Propagates platform errors.
-pub fn deep_caps(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
+pub fn deep_caps(
+    ctx: &ExperimentContext,
+    pool: &Pool,
+    sweep: &PsSweep,
+) -> Result<ExperimentOutput> {
     use aapm::limits::PowerLimit;
 
     let mut out = ExperimentOutput::new(
@@ -222,26 +227,18 @@ pub fn deep_caps(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutpu
     let gzip_ref = &gzip;
     let models = ctx.spec_models();
     let models_ref = &models;
-    let reference = median_run_spec(
-        pool,
-        &GovernorSpec::Unconstrained,
-        models_ref,
-        gzip.program(),
-        ctx.table(),
-        &[],
-    )?;
+    let reference = sweep.benchmark("gzip").expect("gzip exists").unconstrained;
     let limits_w = [5.5, 4.5, 3.5, 2.5];
     let cells: Vec<_> = limits_w
         .into_iter()
         .map(|watts| {
-            move || -> Result<(aapm::report::RunReport, aapm::report::RunReport)> {
+            move || -> Result<(RunReport, RunReport)> {
                 let pm = median_run_spec(
                     pool,
                     &GovernorSpec::Pm { limit_w: watts },
                     models_ref,
                     gzip_ref.program(),
                     ctx.table(),
-                    &[],
                 )?;
                 let combined = median_run_spec(
                     pool,
@@ -249,7 +246,6 @@ pub fn deep_caps(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutpu
                     models_ref,
                     gzip_ref.program(),
                     ctx.table(),
-                    &[],
                 )?;
                 Ok((pm, combined))
             }
@@ -264,7 +260,7 @@ pub fn deep_caps(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutpu
             pct(combined.violation_fraction(limit.watts(), 10)),
             f3(pm.mean_power().map_or(0.0, |w| w.watts())),
             f3(combined.mean_power().map_or(0.0, |w| w.watts())),
-            f3(combined.execution_time / reference.execution_time),
+            f3(combined.execution_time.seconds() / reference.time_s),
         ]);
     }
     out.table("comparison", table);
@@ -276,12 +272,13 @@ pub fn deep_caps(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutpu
     Ok(out)
 }
 
-/// Phase-aware raising vs PM's fixed 100 ms window.
+/// Phase-aware raising vs PM's fixed 100 ms window; PM's runs are the
+/// sweep's.
 ///
 /// # Errors
 ///
 /// Propagates platform errors.
-pub fn phase_pm(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
+pub fn phase_pm(ctx: &ExperimentContext, pool: &Pool, sweep: &PsSweep) -> Result<ExperimentOutput> {
     use aapm::limits::PowerLimit;
 
     let mut out = ExperimentOutput::new(
@@ -304,23 +301,16 @@ pub fn phase_pm(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput
     let cells: Vec<_> = cases
         .into_iter()
         .map(|(name, watts)| {
-            move || -> Result<(aapm::report::RunReport, aapm::report::RunReport)> {
+            move || -> Result<(LimitRuns, RunReport)> {
                 let bench = spec::by_name(name).expect("known benchmark");
-                let pm = median_run_spec(
-                    pool,
-                    &GovernorSpec::Pm { limit_w: watts },
-                    models_ref,
-                    bench.program(),
-                    ctx.table(),
-                    &[],
-                )?;
+                let limit = sweep.limit_index(watts).expect("a sweep limit");
+                let pm = sweep.benchmark(name).expect("known benchmark").limit_runs[limit];
                 let phased = median_run_spec(
                     pool,
                     &GovernorSpec::PhasePm { limit_w: watts },
                     models_ref,
                     bench.program(),
                     ctx.table(),
-                    &[],
                 )?;
                 Ok((pm, phased))
             }
@@ -332,9 +322,9 @@ pub fn phase_pm(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput
         table.row(vec![
             name.into(),
             format!("{watts:.1}"),
-            f3(pm.execution_time.seconds()),
+            f3(pm.pm.time_s),
             f3(phased.execution_time.seconds()),
-            pct(pm.violation_fraction(limit.watts(), 10)),
+            pct(pm.pm_violation),
             pct(phased.violation_fraction(limit.watts(), 10)),
         ]);
     }
@@ -351,11 +341,11 @@ pub fn phase_pm(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{test_ctx, test_pool};
+    use crate::test_support::{test_ctx, test_pool, test_sweep};
 
     #[test]
     fn phase_pm_is_no_slower_on_ammp() {
-        let out = phase_pm(test_ctx(), test_pool()).unwrap();
+        let out = phase_pm(test_ctx(), test_pool(), test_sweep()).unwrap();
         let rows: Vec<Vec<String>> = out.tables[0]
             .1
             .to_csv()
@@ -376,7 +366,7 @@ mod tests {
 
     #[test]
     fn combined_pm_holds_caps_plain_pm_cannot() {
-        let out = deep_caps(test_ctx(), test_pool()).unwrap();
+        let out = deep_caps(test_ctx(), test_pool(), test_sweep()).unwrap();
         let rows: Vec<Vec<String>> = out.tables[0]
             .1
             .to_csv()
@@ -402,7 +392,7 @@ mod tests {
 
     #[test]
     fn dvfs_beats_throttling_on_energy_everywhere() {
-        let out = throttle_vs_dvfs(test_ctx(), test_pool()).unwrap();
+        let out = throttle_vs_dvfs(test_ctx(), test_pool(), test_sweep()).unwrap();
         for line in out.tables[0].1.to_csv().lines().skip(1) {
             let cells: Vec<&str> = line.split(',').collect();
             let dvfs: f64 = cells[2].trim_end_matches('%').parse().unwrap();

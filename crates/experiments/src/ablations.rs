@@ -8,6 +8,10 @@
 //!   [`aapm::feedback::FeedbackPm`] variant vs plain PM on galgel.
 //! * **Demand-based switching**: the related-work baseline saves nothing at
 //!   full load, motivating PS.
+//!
+//! The feedback and DBS studies read plain PM and the unconstrained
+//! reference from the shared suite sweep ([`ps_sweep`](crate::ps_sweep))
+//! and run only the governor they study.
 
 use aapm::governor::Governor;
 use aapm::limits::PowerLimit;
@@ -20,6 +24,7 @@ use aapm_workloads::spec;
 use crate::context::ExperimentContext;
 use crate::output::ExperimentOutput;
 use crate::pool::Pool;
+use crate::ps_sweep::PsSweep;
 // The guardband and raise-window sweeps tune `PmConfig` fields the spec
 // grammar deliberately does not expose, so they keep the closure-based
 // `median_run`; everything spec-expressible goes through `median_run_spec`.
@@ -57,8 +62,8 @@ pub fn guardband(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutpu
                         config,
                     )) as Box<dyn Governor>
                 };
-                let report =
-                    median_run(pool, &factory, galgel_ref.program(), ctx.table(), &[])?;
+                let infix = format!("-gb{guardband}");
+                let report = median_run(pool, &infix, &factory, galgel_ref.program(), ctx.table())?;
                 Ok((
                     report.violation_fraction(limit.watts(), 10),
                     report.execution_time.seconds(),
@@ -103,8 +108,8 @@ pub fn raise_window(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOu
                         config,
                     )) as Box<dyn Governor>
                 };
-                let report =
-                    median_run(pool, &factory, galgel_ref.program(), ctx.table(), &[])?;
+                let infix = format!("-rw{raise_samples}");
+                let report = median_run(pool, &infix, &factory, galgel_ref.program(), ctx.table())?;
                 Ok((
                     report.violation_fraction(limit.watts(), 10),
                     report.execution_time.seconds(),
@@ -130,17 +135,19 @@ pub fn raise_window(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOu
     Ok(out)
 }
 
-/// Measured-power feedback PM vs plain PM on galgel.
+/// Measured-power feedback PM vs plain PM on galgel; plain PM's runs are
+/// the sweep's.
 ///
 /// # Errors
 ///
 /// Propagates platform errors.
-pub fn feedback(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
+pub fn feedback(ctx: &ExperimentContext, pool: &Pool, sweep: &PsSweep) -> Result<ExperimentOutput> {
     let mut out = ExperimentOutput::new(
         "ablation-feedback",
         "Plain PM vs measured-power-feedback PM on galgel (paper's future-work sketch)",
     );
     let galgel = spec::by_name("galgel").expect("galgel in suite");
+    let galgel_pm = &sweep.benchmark("galgel").expect("galgel in suite").limit_runs;
     let mut table =
         TextTable::new(vec!["limit_w", "pm_violations", "feedback_violations", "pm_time_s", "feedback_time_s"]);
     let mut improved = 0usize;
@@ -154,15 +161,7 @@ pub fn feedback(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput
         .map(|watts| {
             move || -> Result<(f64, f64, f64, f64)> {
                 let limit = PowerLimit::new(watts).expect("valid limit");
-                let pm_spec = GovernorSpec::Pm { limit_w: watts };
-                let pm = median_run_spec(
-                    pool,
-                    &pm_spec,
-                    models_ref,
-                    galgel_ref.program(),
-                    ctx.table(),
-                    &[],
-                )?;
+                let pm = &galgel_pm[sweep.limit_index(watts).expect("a sweep limit")];
                 let fb_spec = GovernorSpec::FeedbackPm { limit_w: watts };
                 let fb = median_run_spec(
                     pool,
@@ -170,12 +169,11 @@ pub fn feedback(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput
                     models_ref,
                     galgel_ref.program(),
                     ctx.table(),
-                    &[],
                 )?;
                 Ok((
-                    pm.violation_fraction(limit.watts(), 10),
+                    pm.pm_violation,
                     fb.violation_fraction(limit.watts(), 10),
-                    pm.execution_time.seconds(),
+                    pm.pm.time_s,
                     fb.execution_time.seconds(),
                 ))
             }
@@ -207,12 +205,13 @@ pub fn feedback(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput
     Ok(out)
 }
 
-/// Demand-based switching vs unconstrained on the saturated suite.
+/// Demand-based switching vs unconstrained on the saturated suite; the
+/// unconstrained runs are the sweep's.
 ///
 /// # Errors
 ///
 /// Propagates platform errors.
-pub fn dbs(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
+pub fn dbs(ctx: &ExperimentContext, pool: &Pool, sweep: &PsSweep) -> Result<ExperimentOutput> {
     let mut out = ExperimentOutput::new(
         "ablation-dbs",
         "Demand-based switching saves nothing at full load (paper §IV.B motivation)",
@@ -226,14 +225,8 @@ pub fn dbs(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
         .iter()
         .map(|bench| {
             move || -> Result<(f64, f64)> {
-                let reference = median_run_spec(
-                    pool,
-                    &GovernorSpec::Unconstrained,
-                    models_ref,
-                    bench.program(),
-                    ctx.table(),
-                    &[],
-                )?;
+                let reference =
+                    sweep.benchmark(bench.name()).expect("suite benchmark").unconstrained;
                 // Matches `DemandBasedSwitching::new()`'s 0.8 default.
                 let dbs_spec = GovernorSpec::Dbs { target_utilization: 0.8 };
                 let dbs_run = median_run_spec(
@@ -242,11 +235,10 @@ pub fn dbs(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
                     models_ref,
                     bench.program(),
                     ctx.table(),
-                    &[],
                 )?;
                 Ok((
-                    dbs_run.energy_savings_vs(&reference),
-                    dbs_run.execution_time / reference.execution_time,
+                    1.0 - dbs_run.measured_energy.joules() / reference.energy_j,
+                    dbs_run.execution_time.seconds() / reference.time_s,
                 ))
             }
         })
@@ -269,7 +261,7 @@ pub fn dbs(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{test_ctx, test_pool};
+    use crate::test_support::{test_ctx, test_pool, test_sweep};
 
     #[test]
     fn guardband_reduces_violations_monotonically_enough() {
@@ -294,7 +286,7 @@ mod tests {
 
     #[test]
     fn dbs_saves_nothing_at_full_load() {
-        let out = dbs(test_ctx(), test_pool()).unwrap();
+        let out = dbs(test_ctx(), test_pool(), test_sweep()).unwrap();
         for line in out.tables[0].1.to_csv().lines().skip(1) {
             let savings: f64 = line
                 .split(',')

@@ -11,9 +11,9 @@
 //! ```
 //!
 //! `--jobs 1` forces the serial path (the determinism reference); the
-//! default fans experiment cells over every available core. With
-//! `--csv <dir>` a run also writes `<dir>/BENCH_suite.json` with
-//! wall-clock and pool statistics.
+//! default fans experiment cells over every available core. An unknown id
+//! fails before any model is trained. Each run ends with one stderr line
+//! of wall-clock and pool statistics.
 //! `--trace-out` enables the observability layer and writes one JSONL
 //! event stream per simulation run; `--metrics-out` writes an aggregated
 //! end-of-suite metrics snapshot. Both outputs are deterministic across
@@ -29,13 +29,13 @@
 //! candidates. Both modes print one verdict line per item on stdout, in a
 //! deterministic order independent of `--jobs`.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use aapm_experiments::pool::{default_jobs, PoolStats};
-use aapm_experiments::{run_by_id, ExperimentContext, Pool, RunObserver, ALL_IDS};
+use aapm_experiments::pool::default_jobs;
+use aapm_experiments::{check_id, ids, run_by_id, ExperimentContext, Pool, RunObserver};
 
 fn usage() {
     eprintln!(
@@ -280,50 +280,6 @@ fn fuzz_mode(args: &[String]) -> ExitCode {
     }
 }
 
-/// Writes `<csv dir>/BENCH_suite.json` (hand-rolled JSON: flat numbers
-/// only).
-fn write_bench_report(
-    path: &Path,
-    id: &str,
-    stats: &PoolStats,
-    train_wall: Duration,
-    suite_wall: Duration,
-    experiments: usize,
-) -> std::io::Result<()> {
-    let wall_s = suite_wall.as_secs_f64();
-    let busy_s = stats.top_busy.as_secs_f64();
-    let cells_per_sec = if wall_s > 0.0 { stats.cells_run as f64 / wall_s } else { 0.0 };
-    // Serial wall-clock ≈ the sum of top-level cell times, so busy/wall
-    // estimates the speedup without paying for a reference serial run.
-    let speedup = if wall_s > 0.0 { busy_s / wall_s } else { 1.0 };
-    let mean_cell_ms = if stats.cells_run > 0 {
-        stats.cell_busy.as_secs_f64() * 1000.0 / stats.cells_run as f64
-    } else {
-        0.0
-    };
-    let json = format!(
-        "{{\n  \"experiment\": \"{id}\",\n  \"jobs\": {},\n  \"suite_wall_s\": {wall_s:.3},\n  \
-         \"train_wall_s\": {:.3},\n  \"experiments\": {experiments},\n  \
-         \"cells_run\": {},\n  \"cells_failed\": {},\n  \"top_level_cells\": {},\n  \
-         \"cells_per_sec\": {cells_per_sec:.2},\n  \"top_cell_busy_s\": {busy_s:.3},\n  \
-         \"longest_top_cell_s\": {:.3},\n  \"cell_busy_s\": {:.3},\n  \
-         \"mean_cell_ms\": {mean_cell_ms:.3},\n  \"peak_queue_depth\": {},\n  \
-         \"estimated_speedup_vs_serial\": {speedup:.2}\n}}\n",
-        stats.jobs,
-        train_wall.as_secs_f64(),
-        stats.cells_run,
-        stats.cells_failed,
-        stats.top_cells,
-        stats.longest_top_cell.as_secs_f64(),
-        stats.cell_busy.as_secs_f64(),
-        stats.peak_queue_depth,
-    );
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    std::fs::write(path, json)
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
@@ -331,7 +287,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     if args[0] == "--list" {
-        for id in ALL_IDS {
+        for id in ids() {
             println!("{id}");
         }
         return ExitCode::SUCCESS;
@@ -386,6 +342,10 @@ fn main() -> ExitCode {
             }
         }
     }
+    if let Err(e) = check_id(&id) {
+        eprintln!("experiment failed: {e}");
+        return ExitCode::FAILURE;
+    }
     let observer = (trace_out.is_some() || metrics_out.is_some())
         .then(|| Arc::new(RunObserver::new(trace_out.clone())));
     let jobs_count = jobs.unwrap_or_else(default_jobs);
@@ -395,8 +355,8 @@ fn main() -> ExitCode {
     };
 
     eprintln!("training models on the simulated platform…");
-    // A pool of its own, so the suite's pool statistics and
-    // BENCH_suite.json describe the suite alone.
+    // A pool of its own, so the suite's pool statistics describe the
+    // suite alone.
     let train_pool = Pool::new(jobs_count);
     let train_start = Instant::now();
     let ctx = match ExperimentContext::train_on(&train_pool) {
@@ -406,12 +366,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let train_wall = train_start.elapsed();
     let trained = ctx.perf_fit();
     eprintln!(
         "trained in {:.2}s ({:.2}s cell-busy): eq-3 threshold {:.2}, exponent {:.2}; \
          running `{id}` with {} job(s)…",
-        train_wall.as_secs_f64(),
+        train_start.elapsed().as_secs_f64(),
         train_pool.stats().top_busy.as_secs_f64(),
         trained.params.dcu_threshold,
         trained.params.exponent,
@@ -449,21 +408,6 @@ fn main() -> ExitCode {
                     1.0
                 },
             );
-            if let Some(dir) = &csv_dir {
-                let report = dir.join("BENCH_suite.json");
-                if let Err(e) = write_bench_report(
-                    &report,
-                    &id,
-                    &stats,
-                    train_wall,
-                    suite_wall,
-                    outputs.len(),
-                ) {
-                    eprintln!("failed to write {}: {e}", report.display());
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("pool/timing report written to {}", report.display());
-            }
             if let Some(observer) = &observer {
                 if let Err(e) = observer.finish(metrics_out.as_deref()) {
                     eprintln!("failed to write observability output: {e}");

@@ -6,26 +6,22 @@
 //! unconstrained run wins on ED²P for core-bound work (performance
 //! dominates), and PM sits between — it spends energy only where the limit
 //! allows performance to buy something.
+//!
+//! A view of the shared suite sweep ([`ps_sweep`](crate::ps_sweep)): all
+//! 15 (benchmark, governor) measures are sweep runs.
 
-use aapm::spec::GovernorSpec;
-use aapm_platform::error::Result;
-use aapm_workloads::spec;
-
-use crate::context::ExperimentContext;
 use crate::output::ExperimentOutput;
-use crate::pool::Pool;
-use crate::runner::median_run_spec;
+use crate::ps_sweep::{Exponent, Measure, PsSweep};
 use crate::table::{f3, TextTable};
 
 /// The representative mix: one memory-bound, one phased, one hot.
 pub const MIX: [&str; 3] = ["swim", "ammp", "crafty"];
 
-/// Runs the experiment.
-///
-/// # Errors
-///
-/// Propagates platform errors.
-pub fn run(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
+/// The governors compared, as the table labels them.
+const GOVERNORS: [&str; 5] = ["unconstrained", "static-1400", "pm-13.5W", "ps-80%", "ps-60%"];
+
+/// Formats the experiment from the sweep.
+pub fn run_with(sweep: &PsSweep) -> ExperimentOutput {
     let mut out = ExperimentOutput::new(
         "efficiency",
         "Energy / EDP / ED²P per governor on a representative mix",
@@ -38,44 +34,31 @@ pub fn run(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
         "ed2p_js2",
     ]);
 
-    let governors: Vec<(&str, GovernorSpec)> = vec![
-        ("unconstrained", GovernorSpec::Unconstrained),
-        ("static-1400", GovernorSpec::StaticClock { pstate: 4 }),
-        ("pm-13.5W", GovernorSpec::Pm { limit_w: 13.5 }),
-        ("ps-80%", GovernorSpec::Ps { floor: 0.8 }),
-        ("ps-60%", GovernorSpec::Ps { floor: 0.6 }),
-    ];
-
-    let models = ctx.spec_models();
-    let models_ref = &models;
-    // One cell per governor, covering its three-benchmark mix.
-    let cells: Vec<_> = governors
-        .iter()
-        .map(|(_, governor)| {
-            move || -> Result<(f64, f64)> {
-                let mut time = 0.0;
-                let mut energy = 0.0;
-                for name in MIX {
-                    let bench = spec::by_name(name).expect("mix is in the suite");
-                    let report = median_run_spec(
-                        pool,
-                        governor,
-                        models_ref,
-                        bench.program(),
-                        ctx.table(),
-                        &[],
-                    )?;
-                    time += report.execution_time.seconds();
-                    energy += report.measured_energy.joules();
-                }
-                Ok((time, energy))
-            }
+    let static_1400 = sweep.clock_index(1400).expect("Table IV pins 1400 MHz");
+    let pm = sweep.limit_index(13.5).expect("13.5 W is a sweep limit");
+    // Each mix benchmark's measure under each of GOVERNORS, in order.
+    let mix: Vec<[Measure; 5]> = MIX
+        .into_iter()
+        .map(|name| {
+            let b = sweep.benchmark(name).expect("mix is in the suite");
+            [
+                b.unconstrained,
+                b.limit_runs[static_1400].static_clock,
+                b.limit_runs[pm].pm,
+                *b.ps(Exponent::Primary, 0.8),
+                *b.ps(Exponent::Primary, 0.6),
+            ]
         })
         .collect();
-    let results = pool.run(cells).into_iter().collect::<Result<Vec<_>>>()?;
 
     let mut rows = Vec::new();
-    for (&(label, _), (time, energy)) in governors.iter().zip(results) {
+    for (g, label) in GOVERNORS.into_iter().enumerate() {
+        let mut time = 0.0;
+        let mut energy = 0.0;
+        for measures in &mix {
+            time += measures[g].time_s;
+            energy += measures[g].energy_j;
+        }
         rows.push((label, time, energy));
         table.row(vec![
             label.into(),
@@ -98,17 +81,17 @@ pub fn run(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
         (t_ps / t_un - 1.0) * 100.0,
         (1.0 - e_ps / e_un) * 100.0
     ));
-    Ok(out)
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::test_ctx;
+    use crate::test_support::test_sweep;
 
     #[test]
     fn efficiency_orderings_hold() {
-        let out = run(test_ctx(), crate::test_support::test_pool()).unwrap();
+        let out = run_with(test_sweep());
         let rows: Vec<Vec<String>> = out.tables[0]
             .1
             .to_csv()

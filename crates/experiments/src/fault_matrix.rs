@@ -18,7 +18,7 @@ use aapm_workloads::spec;
 use crate::context::ExperimentContext;
 use crate::output::ExperimentOutput;
 use crate::pool::Pool;
-use crate::runner::{median_run_impl, SeedFaults};
+use crate::runner::{median_run_impl, run_spec_header};
 use crate::table::{pct, TextTable};
 
 /// Fault rates swept (applied to power, thermal, and PMC channels; the
@@ -72,19 +72,14 @@ pub fn run(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
             cells.push(move || -> Result<(f64, f64, u64)> {
                 // The median of the paper's three seeds, each under its
                 // own fault plan; traces are labelled with the rate.
-                let spec_json = governor_spec.to_json();
-                let faults = SeedFaults {
-                    label: &format!("-r{rate:.2}"),
-                    config: &|seed| fault_config(rate, seed ^ 0xFA17),
-                };
                 let (report, stats) = median_run_impl(
                     pool,
                     &|| governor_spec.build(models_ref),
-                    Some(&spec_json),
+                    Some(&run_spec_header(governor_spec, models_ref)),
+                    &format!("-r{rate:.2}"),
                     ammp_ref.program(),
                     ctx.table(),
-                    &[],
-                    Some(faults),
+                    Some(&|seed| fault_config(rate, seed ^ 0xFA17)),
                 )?;
                 Ok((
                     report.execution_time.seconds(),

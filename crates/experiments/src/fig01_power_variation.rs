@@ -49,7 +49,6 @@ pub fn run(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
                     models_ref,
                     bench.program(),
                     ctx.table(),
-                    &[],
                 )
             }
         })

@@ -3,16 +3,14 @@
 //! The paper shows relative performance at 1600/1800/2000 MHz for three
 //! workloads spanning the spectrum: memory-bound `swim` (flat), in-between
 //! `gap`, and core-bound `sixtrack` (linear in frequency).
+//!
+//! A view of the shared suite sweep ([`ps_sweep`](crate::ps_sweep)): 1600
+//! and 1800 MHz are Table-IV static clocks the sweep runs for its limits,
+//! and 2000 MHz is its unconstrained reference, which runs at the top
+//! p-state throughout exactly as a static clock there would.
 
-use aapm::spec::GovernorSpec;
-use aapm_platform::error::Result;
-use aapm_platform::units::MegaHertz;
-use aapm_workloads::spec;
-
-use crate::context::ExperimentContext;
 use crate::output::ExperimentOutput;
-use crate::pool::Pool;
-use crate::runner::median_run_spec;
+use crate::ps_sweep::PsSweep;
 use crate::table::{f3, TextTable};
 
 /// The three workloads of the paper's figure.
@@ -21,13 +19,9 @@ pub const WORKLOADS: [&str; 3] = ["swim", "gap", "sixtrack"];
 /// The three p-state frequencies of the paper's figure.
 pub const FREQUENCIES_MHZ: [u32; 3] = [1600, 1800, 2000];
 
-/// Runs the experiment: relative performance (time at 2 GHz / time at f)
-/// for each workload × frequency.
-///
-/// # Errors
-///
-/// Propagates platform errors from the runs.
-pub fn run(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
+/// Formats the experiment from the sweep: relative performance (time at
+/// 2 GHz / time at f) for each workload × frequency.
+pub fn run_with(sweep: &PsSweep) -> ExperimentOutput {
     let mut out = ExperimentOutput::new(
         "fig2",
         "Performance impact across p-states for swim / gap / sixtrack (paper Figure 2)",
@@ -35,32 +29,18 @@ pub fn run(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
     let mut table = TextTable::new(vec!["benchmark", "1600MHz", "1800MHz", "2000MHz"]);
     let mut swim_range = 0.0f64;
     let mut sixtrack_range = 0.0f64;
-    // One cell per (workload, frequency), merged back in submission order.
-    let models = ctx.spec_models();
-    let models_ref = &models;
-    let mut cells = Vec::new();
     for name in WORKLOADS {
-        let bench = spec::by_name(name).expect("figure workloads are in the suite");
-        for mhz in FREQUENCIES_MHZ {
-            let bench = bench.clone();
-            cells.push(move || {
-                let id = ctx.table().id_of_frequency(MegaHertz::new(mhz))?;
-                let static_clock = GovernorSpec::StaticClock { pstate: id.index() };
-                let report = median_run_spec(
-                    pool,
-                    &static_clock,
-                    models_ref,
-                    bench.program(),
-                    ctx.table(),
-                    &[],
-                )?;
-                Ok(report.execution_time.seconds())
-            });
-        }
-    }
-    let all_times = pool.run(cells).into_iter().collect::<Result<Vec<_>>>()?;
-    for (w, name) in WORKLOADS.into_iter().enumerate() {
-        let times = &all_times[w * FREQUENCIES_MHZ.len()..(w + 1) * FREQUENCIES_MHZ.len()];
+        let bench = sweep.benchmark(name).expect("figure workloads are in the suite");
+        let times: Vec<f64> = FREQUENCIES_MHZ
+            .into_iter()
+            .map(|mhz| {
+                if mhz == 2000 {
+                    return bench.unconstrained.time_s;
+                }
+                let i = sweep.clock_index(mhz).expect("Table IV pins 1600 and 1800 MHz");
+                bench.limit_runs[i].static_clock.time_s
+            })
+            .collect();
         let t2000 = times[2];
         let rel: Vec<f64> = times.iter().map(|t| t2000 / t).collect();
         table.row(vec![name.into(), f3(rel[0]), f3(rel[1]), f3(rel[2])]);
@@ -78,17 +58,17 @@ pub fn run(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
         swim_range * 100.0,
         sixtrack_range * 100.0
     ));
-    Ok(out)
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::test_ctx;
+    use crate::test_support::test_sweep;
 
     #[test]
     fn swim_flat_sixtrack_linear() {
-        let out = run(test_ctx(), crate::test_support::test_pool()).unwrap();
+        let out = run_with(test_sweep());
         let rows: Vec<Vec<String>> = out.tables[0]
             .1
             .to_csv()

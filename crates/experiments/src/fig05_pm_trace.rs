@@ -53,7 +53,7 @@ pub fn run(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
         .iter()
         .map(|(_, governor)| {
             move || {
-                median_run_spec(pool, governor, models_ref, ammp_ref.program(), ctx.table(), &[])
+                median_run_spec(pool, governor, models_ref, ammp_ref.program(), ctx.table())
             }
         })
         .collect();

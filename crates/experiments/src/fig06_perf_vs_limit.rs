@@ -1,19 +1,15 @@
 //! Figure 6 — suite performance vs power limit: PM dynamic clocking vs
 //! worst-case static clocking.
 //!
-//! A view of the shared suite sweep ([`ps_sweep`]): for each of the eight
+//! A view of the shared suite sweep ([`ps_sweep`](crate::ps_sweep)): for each of the eight
 //! power limits, the whole suite under PM and under the Table-IV static
 //! frequency; performance is normalized as `unconstrained suite time /
 //! constrained suite time`. The paper's shape: the PM line dominates the
 //! static dots everywhere, and static approaches PM only where the limit
 //! sits just above a fixed frequency's own worst-case power.
 
-use aapm_platform::error::Result;
-
-use crate::context::ExperimentContext;
 use crate::output::ExperimentOutput;
-use crate::pool::Pool;
-use crate::ps_sweep::{self, PsSweep};
+use crate::ps_sweep::PsSweep;
 use crate::table::{f3, TextTable};
 
 /// Runs the experiment with a precomputed sweep.
@@ -57,14 +53,6 @@ pub fn run_with(sweep: &PsSweep) -> ExperimentOutput {
     out
 }
 
-/// Runs the experiment end to end.
-///
-/// # Errors
-///
-/// Propagates platform errors.
-pub fn run(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
-    Ok(run_with(&ps_sweep::compute(ctx, pool)?))
-}
 
 #[cfg(test)]
 mod tests {

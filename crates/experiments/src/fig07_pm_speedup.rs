@@ -1,18 +1,14 @@
 //! Figure 7 — per-benchmark PM speedup at the 17.5 W limit.
 //!
-//! A view of the shared suite sweep ([`ps_sweep`]). At 17.5 W static
+//! A view of the shared suite sweep ([`ps_sweep`](crate::ps_sweep)). At 17.5 W static
 //! clocking must pin 1800 MHz. PM alternates 1800/2000 MHz by workload.
 //! For each benchmark this experiment reports the PM speedup over static
 //! clocking and the unconstrained (2 GHz) speedup over static clocking,
 //! sorted — as in the paper — by the unconstrained speedup. The headline:
 //! PM reaches ≈86 % of the possible suite speedup.
 
-use aapm_platform::error::Result;
-
-use crate::context::ExperimentContext;
 use crate::output::ExperimentOutput;
-use crate::pool::Pool;
-use crate::ps_sweep::{self, PsSweep};
+use crate::ps_sweep::PsSweep;
 use crate::table::{f3, pct, TextTable};
 
 /// The figure's power limit.
@@ -37,11 +33,7 @@ pub struct Fig7Row {
 
 /// Computes the per-benchmark rows and the suite capture fraction.
 pub fn compute(sweep: &PsSweep) -> (Vec<Fig7Row>, f64) {
-    let at = sweep
-        .limits
-        .iter()
-        .position(|(limit, _)| (limit.watts().watts() - LIMIT_W).abs() < 1e-9)
-        .expect("17.5 W is a PM limit");
+    let at = sweep.limit_index(LIMIT_W).expect("17.5 W is a PM limit");
     let mut rows: Vec<Fig7Row> = sweep
         .benchmarks
         .iter()
@@ -100,14 +92,6 @@ pub fn run_with(sweep: &PsSweep) -> ExperimentOutput {
     out
 }
 
-/// Runs the experiment end to end.
-///
-/// # Errors
-///
-/// Propagates platform errors.
-pub fn run(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
-    Ok(run_with(&ps_sweep::compute(ctx, pool)?))
-}
 
 #[cfg(test)]
 mod tests {

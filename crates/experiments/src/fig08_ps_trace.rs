@@ -3,7 +3,9 @@
 //! The paper's figure shows PS lowering frequency during `ammp`'s
 //! memory-bound regions while sustaining the 80 %-of-peak performance
 //! requirement. This experiment reproduces the run and reports the
-//! frequency/power trace, residency, and the realized performance.
+//! frequency/power trace, residency, and the realized performance. It runs
+//! PS itself, for the trace, and reads the unconstrained reference from
+//! the shared suite sweep ([`ps_sweep`](crate::ps_sweep)).
 
 use aapm::spec::GovernorSpec;
 use aapm_platform::error::Result;
@@ -12,6 +14,7 @@ use aapm_workloads::spec;
 use crate::context::ExperimentContext;
 use crate::output::ExperimentOutput;
 use crate::pool::Pool;
+use crate::ps_sweep::PsSweep;
 use crate::runner::median_run_spec;
 use crate::table::{f3, pct, TextTable};
 
@@ -23,50 +26,26 @@ pub const FLOOR: f64 = 0.8;
 /// # Errors
 ///
 /// Propagates platform errors.
-pub fn run(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
+pub fn run(ctx: &ExperimentContext, pool: &Pool, sweep: &PsSweep) -> Result<ExperimentOutput> {
     let mut out = ExperimentOutput::new(
         "fig8",
         "PS on ammp with an 80% performance floor (paper Figure 8)",
     );
     let ammp = spec::by_name("ammp").expect("ammp is in the suite");
+    let reference = sweep.benchmark("ammp").expect("ammp is in the suite").unconstrained;
+    let ps = median_run_spec(
+        pool,
+        &GovernorSpec::Ps { floor: FLOOR },
+        &ctx.spec_models(),
+        ammp.program(),
+        ctx.table(),
+    )?;
 
-    let reference_cell = {
-        let ammp = ammp.clone();
-        move || {
-            median_run_spec(
-                pool,
-                &GovernorSpec::Unconstrained,
-                &ctx.spec_models(),
-                ammp.program(),
-                ctx.table(),
-                &[],
-            )
-        }
-    };
-    let ps_cell = {
-        let ammp = ammp.clone();
-        move || {
-            median_run_spec(
-                pool,
-                &GovernorSpec::Ps { floor: FLOOR },
-                &ctx.spec_models(),
-                ammp.program(),
-                ctx.table(),
-                &[],
-            )
-        }
-    };
-    let cells: Vec<Box<dyn FnOnce() -> Result<_> + Send>> =
-        vec![Box::new(reference_cell), Box::new(ps_cell)];
-    let mut reports = pool.run(cells).into_iter().collect::<Result<Vec<_>>>()?;
-    let ps = reports.pop().expect("two cells were submitted");
-    let reference = reports.pop().expect("two cells were submitted");
-
-    let realized = reference.execution_time / ps.execution_time;
-    let savings = ps.energy_savings_vs(&reference);
+    let realized = reference.time_s / ps.execution_time.seconds();
+    let savings = 1.0 - ps.measured_energy.joules() / reference.energy_j;
 
     let mut summary = TextTable::new(vec!["metric", "value"]);
-    summary.row(vec!["reference time (2 GHz)".into(), f3(reference.execution_time.seconds())]);
+    summary.row(vec!["reference time (2 GHz)".into(), f3(reference.time_s)]);
     summary.row(vec!["ps time".into(), f3(ps.execution_time.seconds())]);
     summary.row(vec!["realized performance".into(), pct(realized)]);
     summary.row(vec!["energy savings".into(), pct(savings)]);
@@ -103,11 +82,11 @@ pub fn run(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::test_ctx;
+    use crate::test_support::{test_ctx, test_pool, test_sweep};
 
     #[test]
     fn ps_respects_floor_and_modulates() {
-        let out = run(test_ctx(), crate::test_support::test_pool()).unwrap();
+        let out = run(test_ctx(), test_pool(), test_sweep()).unwrap();
         // Realized performance ≥ 80% (ammp is well-modelled).
         let summary = &out.tables[0].1;
         let realized: f64 = summary

@@ -6,11 +6,8 @@
 //! suite reduction within each floor's allowance, and because p-states are
 //! discrete the realized reduction sits below the allowed maximum.
 
-use aapm_platform::error::Result;
-
-use crate::context::ExperimentContext;
 use crate::output::ExperimentOutput;
-use crate::ps_sweep::{self, Exponent, PsSweep};
+use crate::ps_sweep::{Exponent, PsSweep};
 use crate::runner::ps_floors;
 use crate::table::{pct, TextTable};
 
@@ -57,14 +54,6 @@ pub fn run_with(sweep: &PsSweep) -> ExperimentOutput {
     out
 }
 
-/// Runs the experiment end to end.
-///
-/// # Errors
-///
-/// Propagates platform errors.
-pub fn run(ctx: &ExperimentContext, pool: &crate::pool::Pool) -> Result<ExperimentOutput> {
-    Ok(run_with(&ps_sweep::compute(ctx, pool)?))
-}
 
 #[cfg(test)]
 mod tests {

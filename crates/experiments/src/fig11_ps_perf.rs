@@ -7,11 +7,8 @@
 //! 0.81 exponent, and the alternate 0.59 exponent repairs (or nearly
 //! repairs) the violations.
 
-use aapm_platform::error::Result;
-
-use crate::context::ExperimentContext;
 use crate::output::ExperimentOutput;
-use crate::ps_sweep::{self, Exponent, PsSweep};
+use crate::ps_sweep::{Exponent, PsSweep};
 use crate::table::{pct, TextTable};
 
 /// Runs the experiment with a precomputed sweep.
@@ -62,14 +59,6 @@ pub fn run_with(sweep: &PsSweep) -> ExperimentOutput {
     out
 }
 
-/// Runs the experiment end to end.
-///
-/// # Errors
-///
-/// Propagates platform errors.
-pub fn run(ctx: &ExperimentContext, pool: &crate::pool::Pool) -> Result<ExperimentOutput> {
-    Ok(run_with(&ps_sweep::compute(ctx, pool)?))
-}
 
 #[cfg(test)]
 mod tests {

@@ -1,5 +1,5 @@
 //! The paper's headline claims, read in one place out of the shared suite
-//! sweep ([`ps_sweep`]).
+//! sweep ([`ps_sweep`](crate::ps_sweep)).
 //!
 //! * PM at a 17.5 W budget obtains ≈86 % of the possible suite speedup.
 //! * PS at the 80 % floor saves ≈19.2 % energy for ≈10 % performance loss.
@@ -12,7 +12,7 @@ use crate::context::ExperimentContext;
 use crate::fig07_pm_speedup;
 use crate::output::ExperimentOutput;
 use crate::pool::Pool;
-use crate::ps_sweep::{self, Exponent, PsSweep};
+use crate::ps_sweep::{Exponent, PsSweep};
 use crate::table::{pct, TextTable};
 
 /// Runs the headline summary with a precomputed sweep. `ctx` and `pool`
@@ -76,15 +76,6 @@ pub fn run_with(
     Ok(out)
 }
 
-/// Runs the headline summary end to end.
-///
-/// # Errors
-///
-/// Propagates platform errors.
-pub fn run(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
-    let sweep = ps_sweep::compute(ctx, pool)?;
-    run_with(ctx, pool, &sweep)
-}
 
 #[cfg(test)]
 mod tests {

@@ -2,12 +2,17 @@
 //!
 //! One module per table/figure of the paper's evaluation, plus the prose
 //! PM-adherence sweep, the headline-claims summary, and ablations. Each
-//! module exposes `run(&ExperimentContext, &Pool) -> Result<ExperimentOutput>`
-//! and fans its independent cells over the [`pool`] job pool; the
-//! `aapm-experiments` binary drives them. Figures 6, 7 and 9–11,
-//! pm-adherence and headline are views of the shared suite sweep
-//! ([`ps_sweep`]): each also exposes a `run_with` that formats a computed
-//! sweep, and [`run_suite`] computes the sweep once for all seven.
+//! experiment fans its independent cells over the [`pool`] job pool; the
+//! `aapm-experiments` binary drives them. One table ([`ids`] lists it)
+//! says how each id runs: on its own, as `run(&ExperimentContext, &Pool)`,
+//! or by reading the shared suite sweep ([`ps_sweep`]), which holds every
+//! benchmark's unconstrained reference, PM and the Table-IV static clock
+//! at each limit, and PS at each floor and exponent. Figures 2, 6, 7 and
+//! 9–11, pm-adherence, headline and efficiency only format the sweep; fig8
+//! and the feedback, DBS, throttle, deep-cap and phase ablations read their
+//! reference runs from it and run the governor they study. [`run_suite`]
+//! computes the sweep once for all of them; [`run_by_id`] computes it
+//! only for an id that reads it.
 //!
 //! | id | paper content | module |
 //! |---|---|---|
@@ -27,8 +32,9 @@
 //! | pm-adherence | §IV.A.2 limit enforcement | [`pm_adherence`] |
 //! | headline | paper-vs-reproduction claims | [`headline`] |
 //! | ablation-* | guardband/window/feedback/DBS | [`ablations`] |
-//! | ablation-throttle/-thermal | actuator studies | [`ablation_actuators`] |
+//! | ablation-throttle/-thermal/-deepcap/-phase | actuator studies | [`ablation_actuators`] |
 //! | adaptive | static vs online-refit power model | [`adaptive`] |
+//! | efficiency | energy/EDP/ED²P per governor | [`efficiency`] |
 //! | fault-matrix | robustness under injected faults | [`fault_matrix`] |
 //! | fleet | hierarchical vs uniform fleet budgets | [`fleet`] |
 //! | serve | SLO governor vs static cap on open-loop traffic | [`serve`] |
@@ -72,65 +78,98 @@ pub use observe::RunObserver;
 pub use output::ExperimentOutput;
 pub use pool::Pool;
 
-use aapm_platform::error::Result;
+use aapm_platform::error::{PlatformError, Result};
 
-/// Ids of all experiments, in presentation order.
-pub const ALL_IDS: [&str; 31] = [
-    "fig1", "fig2", "tab1", "tab2", "tab3", "tab4", "fig5", "fig6", "fig7", "fig8", "fig9",
-    "fig10", "fig11", "pm-adherence", "headline", "ablation-guardband", "ablation-window",
-    "ablation-feedback", "ablation-dbs", "ablation-throttle", "ablation-thermal", "ablation-deepcap", "ablation-phase", "adaptive", "signatures", "model-error", "efficiency",
-    "fault-matrix", "fleet", "serve", "all",
+use crate::ps_sweep::PsSweep;
+
+/// How an experiment gets its runs.
+#[derive(Clone, Copy)]
+enum Runs {
+    /// It runs everything it shows.
+    Own(fn(&ExperimentContext, &Pool) -> Result<ExperimentOutput>),
+    /// It reads the shared suite sweep, and runs only what the sweep lacks.
+    Sweep(fn(&ExperimentContext, &Pool, &PsSweep) -> Result<ExperimentOutput>),
+}
+
+/// Every experiment, in presentation order, with how it runs.
+const EXPERIMENTS: [(&str, Runs); 30] = [
+    ("fig1", Runs::Own(fig01_power_variation::run)),
+    ("fig2", Runs::Sweep(|_, _, sweep| Ok(fig02_pstate_impact::run_with(sweep)))),
+    ("tab1", Runs::Own(tab01_microbench::run)),
+    ("tab2", Runs::Own(tab02_power_model::run)),
+    ("tab3", Runs::Own(tab03_worst_case::run)),
+    ("tab4", Runs::Own(tab04_static_freq::run)),
+    ("fig5", Runs::Own(fig05_pm_trace::run)),
+    ("fig6", Runs::Sweep(|_, _, sweep| Ok(fig06_perf_vs_limit::run_with(sweep)))),
+    ("fig7", Runs::Sweep(|_, _, sweep| Ok(fig07_pm_speedup::run_with(sweep)))),
+    ("fig8", Runs::Sweep(fig08_ps_trace::run)),
+    ("fig9", Runs::Sweep(|_, _, sweep| Ok(fig09_ps_suite::run_with(sweep)))),
+    ("fig10", Runs::Sweep(|_, _, sweep| Ok(fig10_ps_energy::run_with(sweep)))),
+    ("fig11", Runs::Sweep(|_, _, sweep| Ok(fig11_ps_perf::run_with(sweep)))),
+    ("pm-adherence", Runs::Sweep(|_, _, sweep| Ok(pm_adherence::run_with(sweep)))),
+    ("headline", Runs::Sweep(headline::run_with)),
+    ("ablation-guardband", Runs::Own(ablations::guardband)),
+    ("ablation-window", Runs::Own(ablations::raise_window)),
+    ("ablation-feedback", Runs::Sweep(ablations::feedback)),
+    ("ablation-dbs", Runs::Sweep(ablations::dbs)),
+    ("ablation-throttle", Runs::Sweep(ablation_actuators::throttle_vs_dvfs)),
+    ("ablation-thermal", Runs::Own(ablation_actuators::thermal_envelope)),
+    ("ablation-deepcap", Runs::Sweep(ablation_actuators::deep_caps)),
+    ("ablation-phase", Runs::Sweep(ablation_actuators::phase_pm)),
+    ("adaptive", Runs::Own(adaptive::run)),
+    ("signatures", Runs::Own(signatures::run)),
+    ("model-error", Runs::Own(model_error::run)),
+    ("efficiency", Runs::Sweep(|_, _, sweep| Ok(efficiency::run_with(sweep)))),
+    ("fault-matrix", Runs::Own(fault_matrix::run)),
+    ("fleet", Runs::Own(fleet::run)),
+    ("serve", Runs::Own(serve::run)),
 ];
 
-/// Runs one experiment by id (`"all"` is handled by callers).
+/// Every id [`run_by_id`] accepts, in presentation order: each
+/// experiment's, then `all`.
+pub fn ids() -> impl Iterator<Item = &'static str> {
+    EXPERIMENTS.iter().map(|&(id, _)| id).chain(["all"])
+}
+
+/// Checks that `id` names an experiment or `all`, without running
+/// anything.
+///
+/// # Errors
+///
+/// Unknown ids return an `InvalidConfig` error that lists the known ones.
+pub fn check_id(id: &str) -> Result<()> {
+    if ids().any(|known| known == id) {
+        Ok(())
+    } else {
+        Err(unknown_id(id))
+    }
+}
+
+fn unknown_id(id: &str) -> PlatformError {
+    PlatformError::InvalidConfig {
+        parameter: "experiment",
+        reason: format!("unknown experiment id `{id}`; known: {:?}", ids().collect::<Vec<_>>()),
+    }
+}
+
+/// Runs one experiment by id, or the whole suite for `"all"`. The shared
+/// sweep is computed only for an experiment that reads it.
 ///
 /// # Errors
 ///
 /// Propagates platform errors; unknown ids return an `InvalidConfig` error.
 pub fn run_by_id(ctx: &ExperimentContext, pool: &Pool, id: &str) -> Result<Vec<ExperimentOutput>> {
-    let single = |out: ExperimentOutput| Ok(vec![out]);
-    match id {
-        "fig1" => single(fig01_power_variation::run(ctx, pool)?),
-        "fig2" => single(fig02_pstate_impact::run(ctx, pool)?),
-        "tab1" => single(tab01_microbench::run(ctx, pool)?),
-        "tab2" => single(tab02_power_model::run(ctx, pool)?),
-        "tab3" => single(tab03_worst_case::run(ctx, pool)?),
-        "tab4" => single(tab04_static_freq::run(ctx, pool)?),
-        "fig5" => single(fig05_pm_trace::run(ctx, pool)?),
-        "fig6" => single(fig06_perf_vs_limit::run(ctx, pool)?),
-        "fig7" => single(fig07_pm_speedup::run(ctx, pool)?),
-        "fig8" => single(fig08_ps_trace::run(ctx, pool)?),
-        "fig9" => single(fig09_ps_suite::run(ctx, pool)?),
-        "fig10" => single(fig10_ps_energy::run(ctx, pool)?),
-        "fig11" => single(fig11_ps_perf::run(ctx, pool)?),
-        "pm-adherence" => single(pm_adherence::run(ctx, pool)?),
-        "headline" => single(headline::run(ctx, pool)?),
-        "ablation-guardband" => single(ablations::guardband(ctx, pool)?),
-        "ablation-window" => single(ablations::raise_window(ctx, pool)?),
-        "ablation-feedback" => single(ablations::feedback(ctx, pool)?),
-        "ablation-dbs" => single(ablations::dbs(ctx, pool)?),
-        "ablation-throttle" => single(ablation_actuators::throttle_vs_dvfs(ctx, pool)?),
-        "ablation-thermal" => single(ablation_actuators::thermal_envelope(ctx, pool)?),
-        "ablation-deepcap" => single(ablation_actuators::deep_caps(ctx, pool)?),
-        "ablation-phase" => single(ablation_actuators::phase_pm(ctx, pool)?),
-        "adaptive" => single(adaptive::run(ctx, pool)?),
-        "signatures" => single(signatures::run(ctx, pool)?),
-        "model-error" => single(model_error::run(ctx, pool)?),
-        "efficiency" => single(efficiency::run(ctx, pool)?),
-        "fault-matrix" => single(fault_matrix::run(ctx, pool)?),
-        "fleet" => single(fleet::run(ctx, pool)?),
-        "serve" => single(serve::run(ctx, pool)?),
-        "all" => run_suite(ctx, pool),
-        other => Err(aapm_platform::error::PlatformError::InvalidConfig {
-            parameter: "experiment",
-            reason: format!("unknown experiment id `{other}`; known: {ALL_IDS:?}"),
-        }),
+    match EXPERIMENTS.iter().find(|&&(known, _)| known == id) {
+        Some((_, Runs::Own(run))) => Ok(vec![run(ctx, pool)?]),
+        Some((_, Runs::Sweep(run))) => Ok(vec![run(ctx, pool, &ps_sweep::compute(ctx, pool)?)?]),
+        None if id == "all" => run_suite(ctx, pool),
+        None => Err(unknown_id(id)),
     }
 }
 
 /// Runs the full suite: the shared sweep ([`ps_sweep`]) first, fanned over
 /// the whole pool, then every experiment as one wave in presentation
-/// order, with the sweep's views formatting the sweep.
+/// order, each that reads the sweep reading this one.
 ///
 /// Cells are merged in submission order, so the output sequence (and every
 /// byte in it) is identical whatever the pool width.
@@ -141,25 +180,14 @@ pub fn run_by_id(ctx: &ExperimentContext, pool: &Pool, id: &str) -> Result<Vec<E
 pub fn run_suite(ctx: &ExperimentContext, pool: &Pool) -> Result<Vec<ExperimentOutput>> {
     let sweep = ps_sweep::compute(ctx, pool)?;
     let sweep = &sweep;
-    let cells: Vec<_> = ALL_IDS
-        .into_iter()
-        .filter(|&id| id != "all")
-        .map(|id| {
-            move || match id {
-                "fig6" => Ok(vec![fig06_perf_vs_limit::run_with(sweep)]),
-                "fig7" => Ok(vec![fig07_pm_speedup::run_with(sweep)]),
-                "fig9" => Ok(vec![fig09_ps_suite::run_with(sweep)]),
-                "fig10" => Ok(vec![fig10_ps_energy::run_with(sweep)]),
-                "fig11" => Ok(vec![fig11_ps_perf::run_with(sweep)]),
-                "pm-adherence" => Ok(vec![pm_adherence::run_with(sweep)]),
-                "headline" => headline::run_with(ctx, pool, sweep).map(|out| vec![out]),
-                _ => run_by_id(ctx, pool, id),
+    let cells: Vec<_> = EXPERIMENTS
+        .iter()
+        .map(|&(_, runs)| {
+            move || match runs {
+                Runs::Own(run) => run(ctx, pool),
+                Runs::Sweep(run) => run(ctx, pool, sweep),
             }
         })
         .collect();
-    let mut outputs = Vec::new();
-    for outs in pool.run(cells).into_iter().collect::<Result<Vec<_>>>()? {
-        outputs.extend(outs);
-    }
-    Ok(outputs)
+    pool.run(cells).into_iter().collect()
 }

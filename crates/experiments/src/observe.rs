@@ -48,17 +48,19 @@ impl RunObserver {
 
     /// Buffers one finished run's event stream and snapshot under `label`.
     /// Labels need not be unique. When the run's governor was built from a
-    /// [`GovernorSpec`](aapm::spec::GovernorSpec), its JSON form is
-    /// recorded as a `run_spec` header line ahead of the event stream, so
-    /// a trace file is self-describing: the exact governor configuration
-    /// travels with the events it produced.
-    pub fn observe_run_with_spec(&self, label: &str, metrics: &Metrics, spec_json: Option<&str>) {
+    /// [`GovernorSpec`](aapm::spec::GovernorSpec), `run_spec` holds the
+    /// JSON members that describe it (`"spec":{…},"perf":{…}`, see
+    /// [`median_run_spec`](crate::runner::median_run_spec)), recorded as a
+    /// `run_spec` header line ahead of the event stream, so a trace file is
+    /// self-describing: the exact governor configuration travels with the
+    /// events it produced.
+    pub fn observe_run_with_spec(&self, label: &str, metrics: &Metrics, run_spec: Option<&str>) {
         let mut jsonl = String::new();
-        if let Some(spec) = spec_json {
+        if let Some(members) = run_spec {
             // Same line shape as every event record: a "t" key first, an
             // "event" tag second (downstream line-oriented consumers key
             // on both).
-            jsonl.push_str(&format!("{{\"t\":0.000000,\"event\":\"run_spec\",\"spec\":{spec}}}\n"));
+            jsonl.push_str(&format!("{{\"t\":0.000000,\"event\":\"run_spec\",{members}}}\n"));
         }
         jsonl.push_str(&metrics.events_jsonl());
         let record =
@@ -270,15 +272,15 @@ mod tests {
         observer.observe_run_with_spec(
             "ammp-pm-s11",
             &instrumented("c.hit", 1.0),
-            Some(r#"{"kind":"pm","limit_w":12.5}"#),
+            Some(r#""spec":{"kind":"pm","limit_w":12.5},"perf":{"dcu_threshold":1.21,"exponent":0.81}"#),
         );
         observer.finish(None).unwrap();
-        let trace = fs::read_to_string(dir.join("ammp-pm-s11-7347307f31869cc6.jsonl")).unwrap();
+        let trace = fs::read_to_string(dir.join("ammp-pm-s11-eeba579c76be978f.jsonl")).unwrap();
         let mut lines = trace.lines();
         let header = lines.next().unwrap();
         assert_eq!(
             header,
-            r#"{"t":0.000000,"event":"run_spec","spec":{"kind":"pm","limit_w":12.5}}"#
+            r#"{"t":0.000000,"event":"run_spec","spec":{"kind":"pm","limit_w":12.5},"perf":{"dcu_threshold":1.21,"exponent":0.81}}"#
         );
         // Every line, header included, keeps the event-record line shape.
         for line in trace.lines() {

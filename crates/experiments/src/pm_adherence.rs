@@ -5,14 +5,10 @@
 //! power limit for every benchmark except galgel, which in the worst case
 //! spends approximately 10% of run-time over the power limit". This
 //! experiment reproduces that evaluation from the PM runs of the shared
-//! suite sweep ([`ps_sweep`]).
+//! suite sweep ([`ps_sweep`](crate::ps_sweep)).
 
-use aapm_platform::error::Result;
-
-use crate::context::ExperimentContext;
 use crate::output::ExperimentOutput;
-use crate::pool::Pool;
-use crate::ps_sweep::{self, PsSweep};
+use crate::ps_sweep::PsSweep;
 use crate::table::{pct, TextTable};
 
 /// Violation threshold below which adherence counts as "enforced" (one
@@ -52,14 +48,6 @@ pub fn run_with(sweep: &PsSweep) -> ExperimentOutput {
     out
 }
 
-/// Runs the experiment end to end.
-///
-/// # Errors
-///
-/// Propagates platform errors.
-pub fn run(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
-    Ok(run_with(&ps_sweep::compute(ctx, pool)?))
-}
 
 #[cfg(test)]
 mod tests {

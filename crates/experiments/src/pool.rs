@@ -23,9 +23,9 @@
 //!   live threads never exceed `jobs`.
 //! * **Panic containment.** A panicking cell fails *that cell* with
 //!   [`PlatformError::CellPanicked`]; sibling cells and the suite continue.
-//! * **Timing.** The pool accumulates per-cell wall-clock so the suite can
-//!   report cells/sec and an estimated speedup vs serial execution
-//!   (see [`PoolStats`]).
+//! * **Timing.** The pool counts cells and accumulates top-level cell
+//!   wall-clock, so the binary's stderr summary can report cells, busy
+//!   time and an estimated speedup vs serial execution (see [`PoolStats`]).
 //!
 //! `Pool::new(1)` (or `--jobs 1`) preserves the historical serial path:
 //! cells execute in submission order on the calling thread.
@@ -50,20 +50,12 @@ struct PoolInner {
     active_runs: AtomicUsize,
     /// Cells executed, at any nesting depth.
     cells_run: AtomicUsize,
-    /// Cells that returned an error (including contained panics).
-    cells_failed: AtomicUsize,
     /// Cells executed by top-level (non-nested) `run` calls.
     top_cells: AtomicUsize,
     /// Σ wall-clock of top-level cells — the serial-execution estimate.
     top_busy_nanos: AtomicU64,
     /// Longest single top-level cell.
     top_max_cell_nanos: AtomicU64,
-    /// Σ wall-clock of *all* cells, at any nesting depth.
-    busy_nanos: AtomicU64,
-    /// Cells submitted but not yet claimed by a worker.
-    queued: AtomicUsize,
-    /// High-water mark of `queued`.
-    peak_queued: AtomicUsize,
     /// Observability sink consulted by [`crate::runner::median_run`]; when
     /// present, every simulation cell runs with an enabled metrics
     /// registry and reports its event stream here.
@@ -93,18 +85,12 @@ pub struct PoolStats {
     pub jobs: usize,
     /// Cells executed at any nesting depth (every simulation run).
     pub cells_run: usize,
-    /// Cells that failed (errors and contained panics).
-    pub cells_failed: usize,
     /// Top-level cells executed.
     pub top_cells: usize,
     /// Σ wall-clock of top-level cells (serial-execution estimate).
     pub top_busy: Duration,
     /// Longest single top-level cell (lower bound on parallel wall-clock).
     pub longest_top_cell: Duration,
-    /// Σ wall-clock of all cells at any nesting depth.
-    pub cell_busy: Duration,
-    /// High-water mark of cells submitted but not yet claimed by a worker.
-    pub peak_queue_depth: usize,
 }
 
 impl Pool {
@@ -129,13 +115,9 @@ impl Pool {
                 permits: AtomicUsize::new(jobs - 1),
                 active_runs: AtomicUsize::new(0),
                 cells_run: AtomicUsize::new(0),
-                cells_failed: AtomicUsize::new(0),
                 top_cells: AtomicUsize::new(0),
                 top_busy_nanos: AtomicU64::new(0),
                 top_max_cell_nanos: AtomicU64::new(0),
-                busy_nanos: AtomicU64::new(0),
-                queued: AtomicUsize::new(0),
-                peak_queued: AtomicUsize::new(0),
                 observer,
             }),
         }
@@ -163,14 +145,11 @@ impl Pool {
         PoolStats {
             jobs: inner.jobs,
             cells_run: inner.cells_run.load(Ordering::Relaxed),
-            cells_failed: inner.cells_failed.load(Ordering::Relaxed),
             top_cells: inner.top_cells.load(Ordering::Relaxed),
             top_busy: Duration::from_nanos(inner.top_busy_nanos.load(Ordering::Relaxed)),
             longest_top_cell: Duration::from_nanos(
                 inner.top_max_cell_nanos.load(Ordering::Relaxed),
             ),
-            cell_busy: Duration::from_nanos(inner.busy_nanos.load(Ordering::Relaxed)),
-            peak_queue_depth: inner.peak_queued.load(Ordering::Relaxed),
         }
     }
 
@@ -197,19 +176,11 @@ impl Pool {
         F: FnOnce() -> Result<T> + Send,
     {
         let count = cells.len();
-        let depth = self.inner.queued.fetch_add(count, Ordering::Relaxed) + count;
-        self.inner.peak_queued.fetch_max(depth, Ordering::Relaxed);
         let extra_wanted = count.saturating_sub(1);
         let extra = if self.inner.jobs == 1 { 0 } else { self.acquire(extra_wanted) };
         if extra == 0 {
             // Serial path: submission order on the calling thread.
-            return cells
-                .into_iter()
-                .map(|cell| {
-                    self.inner.queued.fetch_sub(1, Ordering::Relaxed);
-                    self.run_cell(cell, top_level)
-                })
-                .collect();
+            return cells.into_iter().map(|cell| self.run_cell(cell, top_level)).collect();
         }
 
         let tasks: Vec<Mutex<Option<F>>> =
@@ -227,7 +198,6 @@ impl Pool {
                 .expect("task mutex is never poisoned: cells cannot panic while held")
                 .take()
                 .expect("each task index is claimed exactly once");
-            self.inner.queued.fetch_sub(1, Ordering::Relaxed);
             let result = self.run_cell(cell, top_level);
             *slots[index]
                 .lock()
@@ -264,10 +234,6 @@ impl Pool {
         };
         let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.inner.cells_run.fetch_add(1, Ordering::Relaxed);
-        self.inner.busy_nanos.fetch_add(nanos, Ordering::Relaxed);
-        if result.is_err() {
-            self.inner.cells_failed.fetch_add(1, Ordering::Relaxed);
-        }
         if top_level {
             self.inner.top_cells.fetch_add(1, Ordering::Relaxed);
             self.inner.top_busy_nanos.fetch_add(nanos, Ordering::Relaxed);
@@ -353,7 +319,6 @@ mod tests {
             }
             other => panic!("expected CellPanicked, got {other:?}"),
         }
-        assert_eq!(pool.stats().cells_failed, 1);
     }
 
     #[test]
@@ -394,12 +359,11 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.top_cells, 3, "only the outer cells are top-level");
         assert_eq!(stats.cells_run, 3 + 3 * 2, "nested cells still counted in the total");
-        assert_eq!(stats.cells_failed, 0);
         assert!(stats.top_busy >= stats.longest_top_cell);
     }
 
     #[test]
-    fn queue_and_busy_accounting() {
+    fn busy_accounting() {
         for jobs in [1, 4] {
             let pool = Pool::new(jobs);
             let cells: Vec<_> = (0..8)
@@ -412,13 +376,10 @@ mod tests {
                 .collect();
             let _ = pool.run(cells);
             let stats = pool.stats();
-            assert!(
-                (1..=8).contains(&stats.peak_queue_depth),
-                "jobs={jobs}: peak {}",
-                stats.peak_queue_depth
-            );
-            assert!(stats.cell_busy >= stats.longest_top_cell, "jobs={jobs}");
-            assert_eq!(pool.inner.queued.load(Ordering::SeqCst), 0, "queue drains");
+            assert_eq!(stats.top_cells, 8, "jobs={jobs}");
+            let busy = stats.top_busy;
+            assert!(busy >= Duration::from_millis(8), "jobs={jobs}: {busy:?}");
+            assert!(stats.top_busy >= stats.longest_top_cell, "jobs={jobs}");
         }
     }
 

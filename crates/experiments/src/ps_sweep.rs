@@ -2,12 +2,13 @@
 //! under the Table-IV static clock for each limit, and under PS at every
 //! floor × exponent.
 //!
-//! Figures 6, 7, 9, 10 and 11, the PM-adherence sweep and the headline
-//! claims are all views of this one grid of three-seed median runs, so the
-//! suite computes it once and each of them formats it. Each benchmark also
-//! runs unconstrained (the performance/energy reference) and at 600 MHz
-//! (the upper bound on DVFS savings the paper sorts Figures 10/11 by).
-//! Limits that share a static clock share its run.
+//! Figures 2, 6, 7, 9, 10 and 11, the PM-adherence sweep, the headline
+//! claims and `efficiency` are views of this one grid of three-seed median
+//! runs, and fig8 and five ablations read their reference runs from it, so
+//! the suite computes it once and each of them reads it. Each benchmark
+//! also runs unconstrained (the performance/energy reference) and at
+//! 600 MHz (the upper bound on DVFS savings the paper sorts Figures 10/11
+//! by). Limits that share a static clock share its run.
 
 use aapm::limits::PowerLimit;
 use aapm::spec::{GovernorSpec, SpecModels};
@@ -150,6 +151,18 @@ impl PsSweep {
     pub fn benchmark(&self, name: &str) -> Option<&BenchmarkSweep> {
         self.benchmarks.iter().find(|b| b.benchmark == name)
     }
+
+    /// The index into [`limits`](Self::limits), and so into every
+    /// [`BenchmarkSweep::limit_runs`], of the limit of `watts`.
+    pub(crate) fn limit_index(&self, watts: f64) -> Option<usize> {
+        self.limits.iter().position(|(limit, _)| (limit.watts().watts() - watts).abs() < 1e-9)
+    }
+
+    /// The index of the first limit whose Table-IV static clock runs at
+    /// `mhz`.
+    pub(crate) fn clock_index(&self, mhz: u32) -> Option<usize> {
+        self.limits.iter().position(|(_, clock)| clock.mhz() == mhz)
+    }
 }
 
 fn measure_of(report: &aapm::report::RunReport) -> Measure {
@@ -180,7 +193,7 @@ pub fn compute(ctx: &ExperimentContext, pool: &Pool) -> Result<PsSweep> {
         .map(|bench| {
             move || -> Result<BenchmarkSweep> {
                 let run = |spec: &GovernorSpec, models: &SpecModels| {
-                    median_run_spec(pool, spec, models, bench.program(), ctx.table(), &[])
+                    median_run_spec(pool, spec, models, bench.program(), ctx.table())
                 };
                 let unconstrained = measure_of(&run(&GovernorSpec::Unconstrained, models_ref)?);
                 let low = GovernorSpec::StaticClock { pstate: ctx.table().lowest().index() };

@@ -8,14 +8,18 @@
 //! [`median_run`] fans its seed runs out over a [`Pool`]: every seed builds
 //! a fresh `Machine`, DAQ, and governor, so the cells are fully isolated
 //! and their results are merged in deterministic submission order. The
-//! fault matrix takes the same path with a fault plan per seed.
+//! fault matrix takes the same path with a fault plan per seed. Under
+//! `--trace-out` every run says which cell produced it: a spec run
+//! ([`median_run_spec`]) opens with a `run_spec` header naming the spec
+//! and the eq.-3 parameters, and a closure run's label carries an infix
+//! naming the value its closure sets.
 //! [`worst_case_power_curve`] instead runs its eight short ungoverned
 //! p-state cells as one pool cell.
 
 use aapm::governor::Governor;
 use aapm::limits::PowerLimit;
 use aapm::report::RunReport;
-use aapm::runtime::{ScheduledCommand, Session, SimulationConfig};
+use aapm::runtime::{Session, SimulationConfig};
 use aapm::spec::{GovernorSpec, SpecModels};
 use aapm_telemetry::metrics::Metrics;
 use aapm_platform::error::{PlatformError, Result};
@@ -55,6 +59,9 @@ pub fn sim_seed(machine_seed: u64) -> u64 {
 ///
 /// `make_governor` is called once per seed so each run starts from clean
 /// governor state; it must be callable from multiple worker threads.
+/// `infix` goes into each run's `--trace-out` label ahead of the seed and
+/// names the value the closure sets (`-gb0.25`, `-rw3`, `-cap72`), since
+/// no `run_spec` header describes the governor.
 ///
 /// # Errors
 ///
@@ -63,19 +70,20 @@ pub fn sim_seed(machine_seed: u64) -> u64 {
 /// is NaN or ±∞ (no meaningful median exists then).
 pub fn median_run(
     pool: &Pool,
+    infix: &str,
     make_governor: &(dyn Fn() -> Box<dyn Governor> + Sync),
     program: &PhaseProgram,
     table: &PStateTable,
-    commands: &[ScheduledCommand],
 ) -> Result<RunReport> {
-    median_run_impl(pool, &|| Ok(make_governor()), None, program, table, commands, None)
+    median_run_impl(pool, &|| Ok(make_governor()), None, infix, program, table, None)
         .map(|(report, _)| report)
 }
 
 /// [`median_run`] for a registry-described governor: the fresh governor
-/// per seed is built from `spec` against `models`, and the spec's JSON
-/// form is recorded as a `run_spec` header in each run's `--trace-out`
-/// stream. Experiments should prefer this entry point; the closure-based
+/// per seed is built from `spec` against `models`, and each run's
+/// `--trace-out` stream opens with a `run_spec` header recording the spec
+/// and the eq.-3 parameters of `models`' performance model.
+/// Experiments should prefer this entry point; the closure-based
 /// [`median_run`] remains for configurations the spec grammar cannot
 /// express (ablation-specific tunables).
 ///
@@ -88,33 +96,37 @@ pub fn median_run_spec(
     models: &SpecModels,
     program: &PhaseProgram,
     table: &PStateTable,
-    commands: &[ScheduledCommand],
 ) -> Result<RunReport> {
-    let spec_json = spec.to_json();
-    median_run_impl(pool, &|| spec.build(models), Some(&spec_json), program, table, commands, None)
+    let header = run_spec_header(spec, models);
+    median_run_impl(pool, &|| spec.build(models), Some(&header), "", program, table, None)
         .map(|(report, _)| report)
 }
 
-/// Fault injection for every seed of a median run.
-#[derive(Clone, Copy)]
-pub(crate) struct SeedFaults<'a> {
-    /// Inserted ahead of the seed in each run's trace label (`-r0.05`).
-    pub(crate) label: &'a str,
-    /// The fault plan of the run at a machine seed.
-    pub(crate) config: &'a (dyn Fn(u64) -> FaultConfig + Sync),
+/// The fields of a spec run's `run_spec` trace header: the spec, and the
+/// eq.-3 parameters its models carry, so runs of one spec under different
+/// performance models (the sweep's two PS exponents) say which is which.
+pub(crate) fn run_spec_header(spec: &GovernorSpec, models: &SpecModels) -> String {
+    let perf = models.perf.params();
+    format!(
+        "\"spec\":{},\"perf\":{{\"dcu_threshold\":{},\"exponent\":{}}}",
+        spec.to_json(),
+        perf.dcu_threshold,
+        perf.exponent
+    )
 }
 
 /// The one median path: [`median_run`] and [`median_run_spec`] without
-/// faults, the fault matrix with them. Returns the median run's report
-/// and the faults that run injected.
+/// faults, the fault matrix with a fault plan per machine seed. `header`
+/// and `infix` describe the runs in `--trace-out`. Returns the median
+/// run's report and the faults that run injected.
 pub(crate) fn median_run_impl(
     pool: &Pool,
     make_governor: &(dyn Fn() -> Result<Box<dyn Governor>> + Sync),
-    spec_json: Option<&str>,
+    header: Option<&str>,
+    infix: &str,
     program: &PhaseProgram,
     table: &PStateTable,
-    commands: &[ScheduledCommand],
-    faults: Option<SeedFaults<'_>>,
+    faults: Option<&(dyn Fn(u64) -> FaultConfig + Sync)>,
 ) -> Result<(RunReport, FaultStats)> {
     let observer = pool.observer().cloned();
     let cells: Vec<_> = RUN_SEEDS
@@ -129,7 +141,7 @@ pub(crate) fn median_run_impl(
                 };
                 let sim = SimulationConfig {
                     seed: sim_seed(seed),
-                    faults: faults.map_or_else(FaultConfig::default, |f| (f.config)(seed)),
+                    faults: faults.map_or_else(FaultConfig::default, |config| config(seed)),
                     ..SimulationConfig::default()
                 };
                 let mut governor = make_governor()?;
@@ -140,17 +152,11 @@ pub(crate) fn median_run_impl(
                 let (report, stats) = Session::builder(machine, program.clone())
                     .config(sim)
                     .governor(governor.as_mut())
-                    .commands(commands)
                     .observer(&metrics)
                     .run()?;
                 if let Some(observer) = &observer {
-                    let label = format!(
-                        "{}-{}{}-s{seed}",
-                        report.workload,
-                        report.governor,
-                        faults.map_or("", |f| f.label)
-                    );
-                    observer.observe_run_with_spec(&label, &metrics, spec_json);
+                    let label = format!("{}-{}{infix}-s{seed}", report.workload, report.governor);
+                    observer.observe_run_with_spec(&label, &metrics, header);
                 }
                 Ok((report, stats))
             }
@@ -260,6 +266,7 @@ pub fn ps_floors() -> Vec<f64> {
 mod tests {
     use super::*;
     use aapm::baselines::Unconstrained;
+    use aapm_models::perf_model::{PerfModel, PerfModelParams};
     use aapm_platform::phase::PhaseDescriptor;
 
     fn program() -> PhaseProgram {
@@ -276,8 +283,8 @@ mod tests {
         let table = PStateTable::pentium_m_755();
         let factory = || Box::new(Unconstrained::new()) as Box<dyn Governor>;
         let pool = Pool::serial();
-        let a = median_run(&pool, &factory, &program(), &table, &[]).unwrap();
-        let b = median_run(&pool, &factory, &program(), &table, &[]).unwrap();
+        let a = median_run(&pool, "", &factory, &program(), &table).unwrap();
+        let b = median_run(&pool, "", &factory, &program(), &table).unwrap();
         assert_eq!(a.execution_time, b.execution_time);
         assert!(a.completed);
     }
@@ -286,8 +293,8 @@ mod tests {
     fn median_run_matches_across_pool_widths() {
         let table = PStateTable::pentium_m_755();
         let factory = || Box::new(Unconstrained::new()) as Box<dyn Governor>;
-        let serial = median_run(&Pool::new(1), &factory, &program(), &table, &[]).unwrap();
-        let parallel = median_run(&Pool::new(8), &factory, &program(), &table, &[]).unwrap();
+        let serial = median_run(&Pool::new(1), "", &factory, &program(), &table).unwrap();
+        let parallel = median_run(&Pool::new(8), "", &factory, &program(), &table).unwrap();
         assert_eq!(serial.execution_time, parallel.execution_time);
         assert_eq!(serial.measured_energy, parallel.measured_energy);
         assert_eq!(serial.transitions, parallel.transitions);
@@ -298,19 +305,85 @@ mod tests {
         let table = PStateTable::pentium_m_755();
         let factory = || Box::new(Unconstrained::new()) as Box<dyn Governor>;
         let pool = Pool::serial();
-        let a = median_run(&pool, &factory, &program(), &table, &[]).unwrap();
+        let a = median_run(&pool, "", &factory, &program(), &table).unwrap();
         let b = median_run_spec(
             &pool,
             &GovernorSpec::Unconstrained,
             &SpecModels::default(),
             &program(),
             &table,
-            &[],
         )
         .unwrap();
         assert_eq!(a.execution_time, b.execution_time);
         assert_eq!(a.measured_energy, b.measured_energy);
         assert_eq!(a.governor, b.governor);
+    }
+
+    /// fig2 reads its 2000 MHz column from the sweep's unconstrained runs,
+    /// so they must be the static-clock runs at the top p-state, bit for
+    /// bit.
+    #[test]
+    fn unconstrained_runs_as_a_static_clock_at_the_top_pstate() {
+        let ctx = crate::test_support::test_ctx();
+        let pool = Pool::serial();
+        let top = GovernorSpec::StaticClock { pstate: ctx.table().highest().index() };
+        for name in ["swim", "gap", "sixtrack"] {
+            let program = aapm_workloads::spec::by_name(name).expect("known benchmark");
+            let models = SpecModels::default();
+            let run = |spec: &GovernorSpec| {
+                let report =
+                    median_run_spec(&pool, spec, &models, program.program(), ctx.table()).unwrap();
+                (
+                    report.execution_time.seconds().to_bits(),
+                    report.measured_energy.joules().to_bits(),
+                    report.true_energy.joules().to_bits(),
+                    report.transitions,
+                )
+            };
+            assert_eq!(run(&GovernorSpec::Unconstrained), run(&top), "{name}");
+        }
+    }
+
+    /// Every trace file names the cell that produced it: a spec run's
+    /// header carries the performance model's parameters, and a closure
+    /// run's label carries the value its closure sets.
+    #[test]
+    fn trace_files_name_their_cell() {
+        let dir = std::env::temp_dir().join(format!("aapm-runner-labels-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let observer = std::sync::Arc::new(crate::RunObserver::new(Some(dir.clone())));
+        let pool = Pool::with_observer(1, std::sync::Arc::clone(&observer));
+        let table = PStateTable::pentium_m_755();
+        let ps = GovernorSpec::Ps { floor: 0.8 };
+        for params in [PerfModelParams::paper(), PerfModelParams::paper_alternate()] {
+            let models = SpecModels { perf: PerfModel::new(params), ..SpecModels::default() };
+            median_run_spec(&pool, &ps, &models, &program(), &table).unwrap();
+        }
+        let factory = || Box::new(Unconstrained::new()) as Box<dyn Governor>;
+        median_run(&pool, "-gb0.25", &factory, &program(), &table).unwrap();
+        observer.finish(None).unwrap();
+
+        let mut headers = Vec::new();
+        let mut closure_runs = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if name.starts_with("w-ps-s11-") {
+                let body = std::fs::read_to_string(&path).unwrap();
+                headers.push(body.lines().next().unwrap().to_owned());
+            }
+            closure_runs += usize::from(name.starts_with("w-unconstrained-gb0.25-s"));
+        }
+        headers.sort();
+        let header = |exponent: &str| {
+            format!(
+                "{{\"t\":0.000000,\"event\":\"run_spec\",\"spec\":{{\"kind\":\"ps\",\"floor\":0.8}},\
+                 \"perf\":{{\"dcu_threshold\":1.21,\"exponent\":{exponent}}}}}"
+            )
+        };
+        assert_eq!(headers, vec![header("0.59"), header("0.81")], "one file per exponent");
+        assert_eq!(closure_runs, 3, "each seed's closure run carries the infix");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -328,7 +401,7 @@ mod tests {
         let table = PStateTable::pentium_m_755();
         let factory = || Box::new(Unconstrained::new()) as Box<dyn Governor>;
         let pool = Pool::serial();
-        let good = median_run(&pool, &factory, &program(), &table, &[]).unwrap();
+        let good = median_run(&pool, "", &factory, &program(), &table).unwrap();
         let inf = Seconds::new(f64::INFINITY);
         // `Seconds::new` rejects NaN, but arithmetic can still produce one.
         let nan = inf - inf;

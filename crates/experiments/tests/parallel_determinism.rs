@@ -4,9 +4,10 @@
 //! The pool merges cell results in submission order, so a wide pool has to
 //! render byte-for-byte the same tables, notes, and row order as
 //! `--jobs 1`. These tests train one context and replay a representative
-//! slice of the suite at both widths: a plain per-benchmark fan-out
-//! (fig2), a pooled measurement curve reused by two tables (tab3/tab4),
-//! and a nested `median_run` fan under an outer fan (fig5). One more test
+//! slice of the suite at both widths: closure-built median runs fanned
+//! under an outer fan (ablation-guardband), a pooled measurement curve
+//! reused by two tables (tab3/tab4), and spec-built median runs under an
+//! outer fan (fig5). One more test
 //! runs the whole suite at widths 1 and 2 and checks it against the
 //! committed `results/*.csv`. Training on the pool must give the same
 //! models, bit for bit, at every width.
@@ -111,7 +112,7 @@ fn training_is_bit_identical_across_widths() {
 fn parallel_output_is_byte_identical_to_serial() {
     let serial = Pool::new(1);
     let wide = Pool::new(8);
-    for id in ["fig2", "tab3", "fig5"] {
+    for id in ["ablation-guardband", "tab3", "fig5"] {
         assert_eq!(
             rendered(&serial, id),
             rendered(&wide, id),
@@ -123,15 +124,15 @@ fn parallel_output_is_byte_identical_to_serial() {
 #[test]
 fn pool_accounts_for_the_cells_it_ran() {
     let pool = Pool::new(4);
-    let outputs = run_by_id(ctx(), &pool, "fig2").expect("fig2 succeeds");
+    let outputs =
+        run_by_id(ctx(), &pool, "ablation-guardband").expect("ablation-guardband succeeds");
     assert_eq!(outputs.len(), 1);
     let stats = pool.stats();
     assert_eq!(stats.jobs, 4);
-    // fig2 fans 3 workloads × 3 frequencies, each a nested 3-seed
-    // median_run: 9 top-level cells plus 27 nested ones.
-    assert_eq!(stats.cells_run, 36);
-    assert_eq!(stats.cells_failed, 0);
-    assert_eq!(stats.top_cells, 9);
+    // ablation-guardband fans 5 guardbands, each a nested 3-seed
+    // median_run: 5 top-level cells plus 15 nested ones.
+    assert_eq!(stats.cells_run, 20);
+    assert_eq!(stats.top_cells, 5);
     assert!(stats.top_busy >= stats.longest_top_cell);
 }
 
@@ -224,9 +225,11 @@ fn serve_output_is_byte_identical_across_widths() {
 
 /// Pool cells one suite run executes, at any width: the shared sweep's
 /// 1,665 (the power-curve cell, 26 benchmark cells and 3 seed cells for
-/// each of their 21 median runs) plus every other experiment's. An
-/// experiment that goes back to running the sweep's grid itself moves it.
-const SUITE_CELLS: usize = 2260;
+/// each of their 21 median runs) plus 444 for the experiments: one cell
+/// each for the 30 of them, and 414 for the runs they make beyond the
+/// sweep. An experiment that goes back to running a sweep run itself moves
+/// it.
+const SUITE_CELLS: usize = 2109;
 
 /// The committed-CSV gate: the full suite on a 1-wide and a 2-wide pool
 /// renders every table as the `<id>_<name>.csv` that `all --csv results/`

@@ -16,21 +16,24 @@ cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 # Deprecation gate: the pre-builder run/run_with_faults/run_observed free
 # functions are deleted, and so are the degradation configs whose knobs no
-# caller set (the hold windows and thresholds are constants) and the fault
-# matrix's private copy of the median run. The symbols must stay gone
-# everywhere — as definitions or as call sites; every run goes through
-# Session::builder, and every median through the runner's one path.
-if grep -rnE '\b(run_with_faults|run_observed|runtime::run|PsConfig|WatchdogConfig|ThermalGuardConfig|median_faulted_run)\b' \
+# caller set (the hold windows and thresholds are constants), the fault
+# matrix's private copy of the median run, the experiment id list that
+# shadowed the experiment table, and the BENCH_suite.json writer. The
+# symbols must stay gone everywhere — as definitions or as call sites;
+# every run goes through Session::builder, every median through the
+# runner's one path, and every id through the one table in
+# crates/experiments/src/lib.rs.
+if grep -rnE '\b(run_with_faults|run_observed|runtime::run|PsConfig|WatchdogConfig|ThermalGuardConfig|median_faulted_run|ALL_IDS|write_bench_report)\b' \
     --include='*.rs' src examples tests crates; then
     echo "deprecation gate FAIL: deleted symbols reappeared" >&2
     exit 1
 fi
 
 # Parallel-harness smoke: the full suite on a 2-wide pool must complete and
-# leave the wall-clock/speedup report behind. (The committed-CSV gate is the
-# Tier-1 test `suite_reproduces_every_committed_csv`.)
+# rewrite the committed CSVs (`git diff results/` shows any drift). The
+# committed-CSV gate itself is the Tier-1 test
+# `suite_reproduces_every_committed_csv`.
 cargo run --release --offline -p aapm-experiments -- all --jobs 2 --csv results/ > /dev/null
-test -s results/BENCH_suite.json
 
 # Observability smoke: a suite cell with tracing and metrics enabled must
 # emit parseable JSONL traces and a non-trivial aggregate snapshot.
