@@ -22,6 +22,7 @@ use aapm::report::RunReport;
 use aapm::spec::GovernorSpec;
 use aapm::thermal_guard::ThermalGuard;
 use aapm_platform::error::Result;
+use aapm_platform::program::PhaseProgram;
 use aapm_platform::thermal::Celsius;
 use aapm_workloads::spec;
 
@@ -135,9 +136,10 @@ pub fn thermal_envelope(ctx: &ExperimentContext, pool: &Pool) -> Result<Experime
         "ablation-thermal",
         "Die-temperature envelope (ThermalGuard) on the hottest workload",
     );
-    // Stretch crafty so the package (τ ≈ 4 s) fully heats.
+    // Stretch crafty so the package (τ ≈ 4 s) fully heats, under a name of
+    // its own so its runs do not share the unstretched crafty's traces.
     let crafty = spec::by_name("crafty").expect("crafty exists");
-    let program = crafty.program().scaled(4.0);
+    let program = PhaseProgram::new("crafty-x4", crafty.program().scaled(4.0).phases().to_vec())?;
     let cap = Celsius::new(72.0);
 
     let program_ref = &program;
@@ -430,5 +432,24 @@ mod tests {
         let free_time: f64 = rows[0][1].parse().unwrap();
         let guarded_time: f64 = rows[1][1].parse().unwrap();
         assert!(guarded_time > free_time, "capping costs time");
+    }
+
+    /// Beside the unstretched crafty's free runs, the stretched crafty's
+    /// runs each trace to a file of their own.
+    #[test]
+    fn stretched_crafty_traces_under_its_own_name() {
+        let dir = std::env::temp_dir().join(format!("aapm-thermal-labels-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let observer = std::sync::Arc::new(crate::RunObserver::new(Some(dir.clone())));
+        let pool = Pool::with_observer(2, std::sync::Arc::clone(&observer));
+        let (ctx, crafty) = (test_ctx(), spec::by_name("crafty").unwrap());
+        let models = ctx.spec_models();
+        median_run_spec(&pool, &GovernorSpec::Unconstrained, &models, crafty.program(), ctx.table())
+            .unwrap();
+        thermal_envelope(ctx, &pool).unwrap();
+        observer.finish(None).unwrap();
+        let files = std::fs::read_dir(&dir).unwrap().count();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(files, observer.runs_observed(), "a run shares another run's trace file");
     }
 }
