@@ -39,7 +39,7 @@ use aapm_models::power_model::PowerModel;
 use aapm_platform::error::{PlatformError, Result};
 use aapm_platform::events::HardwareEvent;
 use aapm_platform::pstate::PStateId;
-use aapm_telemetry::metrics::{EventKind, Metrics};
+use aapm_telemetry::metrics::{Counter, EventKind, Histogram, Metrics};
 
 use crate::governor::{Governor, GovernorCommand, SampleContext};
 use crate::layer::GovernorLayer;
@@ -236,7 +236,7 @@ impl<G: Governor> Adaptive<G> {
     /// Full fallback: restore the seed model everywhere and reseed every
     /// estimator (telemetry outage path).
     fn fall_back_to_seed(&mut self, now: aapm_platform::units::Seconds) {
-        self.metrics.inc("adapt.fallbacks");
+        self.metrics.inc(Counter::AdaptFallbacks);
         self.metrics.event(now, EventKind::ModelReseeded { reason: "telemetry_outage" });
         for index in 0..self.fits.len() {
             self.restore_seed(index);
@@ -274,7 +274,7 @@ impl<G: Governor> Adaptive<G> {
         // fit gone wrong (faulted meter, regime boundary), not physics.
         let degenerate_fit = !matches!(coeffs, Some(c) if c.alpha >= 0.0);
         if degenerate_window || degenerate_fit {
-            self.metrics.inc("adapt.degenerate_windows");
+            self.metrics.inc(Counter::AdaptDegenerateWindows);
             self.metrics.event(now, EventKind::ModelReseeded { reason: "degenerate_window" });
             self.restore_seed(index);
             self.reseed_state(index);
@@ -289,8 +289,8 @@ impl<G: Governor> Adaptive<G> {
         if self.live.set_coefficients(id, coeffs).is_ok() {
             self.inner.command(GovernorCommand::SetPowerCoefficients(id, coeffs));
             self.fits[index].refit = true;
-            self.metrics.inc("adapt.refit_count");
-            self.metrics.observe("adapt.coeff_drift_w", drift);
+            self.metrics.inc(Counter::AdaptRefitCount);
+            self.metrics.observe(Histogram::AdaptCoeffDriftW, drift);
             self.metrics.event(now, EventKind::ModelRefit { pstate: index });
         }
         let fit = &mut self.fits[index];
@@ -339,8 +339,8 @@ impl<G: Governor> GovernorLayer for Adaptive<G> {
                     // Score the live model *before* updating it: honest
                     // one-step-ahead error.
                     if let Ok(predicted) = self.live.estimate(ctx.current, dpc) {
-                        self.metrics
-                            .observe("adapt.model_error_w", (watts - predicted.watts()).abs());
+                        let error = (watts - predicted.watts()).abs();
+                        self.metrics.observe(Histogram::AdaptModelErrorW, error);
                     }
                     let window = self.config.window;
                     let fit = &mut self.fits[index];

@@ -8,41 +8,55 @@
 //! steps one p-state per interval toward the safe side of its contract
 //! until fresh telemetry returns.
 //!
-//! [`StaleHold`] keeps the streak and records the hold for its governor:
-//! the counters `<prefix>.stale_intervals`, `.hold_entries`, `.hold_exits`
-//! and `.failsafe_steps`, and the `hold_entered`, `hold_exited` and
+//! [`StaleHold`] keeps the streak and records the hold for its governor
+//! under one of three name sets, [`PM`], [`PS`] and [`SLO_SAVE`]: the
+//! counters `<prefix>.stale_intervals`, `.hold_entries`, `.hold_exits` and
+//! `.failsafe_steps`, and the `hold_entered`, `hold_exited` and
 //! `fail_safe_step` events tagged with the governor's name. The governor
 //! keeps only what differs: its window (passed to [`StaleHold::stale`]),
 //! what it holds, and which way it steps.
 
 use aapm_platform::units::Seconds;
-use aapm_telemetry::metrics::{EventKind, Metrics};
+use aapm_telemetry::metrics::{Counter, EventKind, Metrics};
 
-/// The event tag and counter names a [`StaleHold`] records under.
+/// The event tag and counters a [`StaleHold`] records under. A governor
+/// holds one `&'static` reference to its set, not four counters and a tag.
 #[derive(Debug)]
 pub(crate) struct HoldNames {
-    pub(crate) governor: &'static str,
-    pub(crate) stale_intervals: &'static str,
-    pub(crate) hold_entries: &'static str,
-    pub(crate) hold_exits: &'static str,
-    pub(crate) failsafe_steps: &'static str,
+    governor: &'static str,
+    stale_intervals: Counter,
+    hold_entries: Counter,
+    hold_exits: Counter,
+    failsafe_steps: Counter,
 }
 
-/// `&'static` [`HoldNames`] for an event tag and a counter prefix:
-/// `hold_names!("slo-save", "slo_save")`. A reference, so a governor
-/// carries one pointer to its names, not five.
-macro_rules! hold_names {
-    ($governor:literal, $prefix:literal) => {
-        &$crate::hold::HoldNames {
-            governor: $governor,
-            stale_intervals: concat!($prefix, ".stale_intervals"),
-            hold_entries: concat!($prefix, ".hold_entries"),
-            hold_exits: concat!($prefix, ".hold_exits"),
-            failsafe_steps: concat!($prefix, ".failsafe_steps"),
-        }
-    };
-}
-pub(crate) use hold_names;
+/// PM's hold: `hold_*` events tagged `pm`, `pm.*` counters.
+pub(crate) const PM: &HoldNames = &HoldNames {
+    governor: "pm",
+    stale_intervals: Counter::PmStaleIntervals,
+    hold_entries: Counter::PmHoldEntries,
+    hold_exits: Counter::PmHoldExits,
+    failsafe_steps: Counter::PmFailsafeSteps,
+};
+
+/// PS's hold: `hold_*` events tagged `ps`, `ps.*` counters.
+pub(crate) const PS: &HoldNames = &HoldNames {
+    governor: "ps",
+    stale_intervals: Counter::PsStaleIntervals,
+    hold_entries: Counter::PsHoldEntries,
+    hold_exits: Counter::PsHoldExits,
+    failsafe_steps: Counter::PsFailsafeSteps,
+};
+
+/// SloSave's hold: `hold_*` events tagged `slo-save`, `slo_save.*`
+/// counters.
+pub(crate) const SLO_SAVE: &HoldNames = &HoldNames {
+    governor: "slo-save",
+    stale_intervals: Counter::SloSaveStaleIntervals,
+    hold_entries: Counter::SloSaveHoldEntries,
+    hold_exits: Counter::SloSaveHoldExits,
+    failsafe_steps: Counter::SloSaveFailsafeSteps,
+};
 
 /// A bounded hold over stale telemetry: the streak of stale intervals.
 #[derive(Debug, Clone)]

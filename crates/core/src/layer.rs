@@ -110,6 +110,7 @@ mod tests {
     use super::*;
     use aapm_platform::pstate::PStateTable;
     use aapm_platform::units::Seconds;
+    use aapm_telemetry::metrics::Counter;
     use aapm_telemetry::pmc::CounterSample;
 
     /// A minimal layer that records whether each hook fired.
@@ -137,7 +138,7 @@ mod tests {
             &mut self.inner
         }
         fn layer_metrics(&mut self, metrics: Metrics) {
-            metrics.inc("probe.installed");
+            metrics.inc(Counter::RuntimeCommandsDelivered);
             self.metrics = metrics;
         }
     }
@@ -173,13 +174,13 @@ mod tests {
         let mut stack = Probe::new(Probe::new(crate::baselines::Unconstrained::new()));
         let metrics = Metrics::enabled();
         stack.install_metrics(metrics.clone());
-        assert_eq!(metrics.snapshot().counter("probe.installed"), 2);
+        assert_eq!(metrics.snapshot().counter("runtime.commands_delivered"), 2);
         assert!(stack.metrics.is_enabled());
         assert!(stack.inner.metrics.is_enabled());
         // Both kept handles write into the shared registry.
-        stack.metrics.inc("outer");
-        stack.inner.metrics.inc("inner");
-        assert_eq!(metrics.snapshot().counter("outer"), 1);
-        assert_eq!(metrics.snapshot().counter("inner"), 1);
+        stack.metrics.inc(Counter::WatchdogEngagements);
+        stack.inner.metrics.inc(Counter::WatchdogReleases);
+        assert_eq!(metrics.snapshot().counter("watchdog.engagements"), 1);
+        assert_eq!(metrics.snapshot().counter("watchdog.releases"), 1);
     }
 }

@@ -32,10 +32,10 @@ use aapm_platform::pstate::PStateId;
 use aapm_platform::units::Watts;
 use aapm_models::dpc_projection::project_dpc;
 use aapm_models::power_model::PowerModel;
-use aapm_telemetry::metrics::Metrics;
+use aapm_telemetry::metrics::{Gauge, Histogram, Metrics};
 
 use crate::governor::{Governor, GovernorCommand, SampleContext};
-use crate::hold::{hold_names, StaleHold};
+use crate::hold::{self, StaleHold};
 use crate::limits::PowerLimit;
 
 /// Tunables of the PM control loop.
@@ -113,7 +113,7 @@ impl PerformanceMaximizer {
             config,
             raise_streak: 0,
             last_dpc: None,
-            hold: StaleHold::new(hold_names!("pm", "pm")),
+            hold: StaleHold::new(hold::PM),
             predicted_dpc: None,
             last_headroom: None,
             last_deficit: None,
@@ -223,7 +223,7 @@ impl PerformanceMaximizer {
         self.hold.fresh(&self.metrics, now);
         let dpc = ctx.counters.dpc().unwrap_or(0.0);
         if let Some(predicted) = self.predicted_dpc.take() {
-            self.metrics.observe("pm.projection_error_dpc", (dpc - predicted).abs());
+            self.metrics.observe(Histogram::PmProjectionErrorDpc, (dpc - predicted).abs());
         }
         self.last_dpc = Some(dpc);
         let candidate = self.best_pstate(ctx, dpc, scale);
@@ -254,8 +254,8 @@ impl PerformanceMaximizer {
             let headroom = self.limit.watts().watts() - (estimate * scale).watts();
             self.last_headroom = Some(Watts::new(headroom));
             if self.metrics.is_enabled() {
-                self.metrics.observe("pm.guardband_margin_w", headroom);
-                self.metrics.gauge("pm.guardband_headroom_w", headroom);
+                self.metrics.observe(Histogram::PmGuardbandMarginW, headroom);
+                self.metrics.gauge(Gauge::PmGuardbandHeadroomW, headroom);
             }
         }
         // Power deficit: when the limit throttles the node below the top
@@ -268,7 +268,7 @@ impl PerformanceMaximizer {
         });
         if self.metrics.is_enabled() {
             if let Some(deficit) = self.last_deficit {
-                self.metrics.gauge("pm.power_deficit_w", deficit.watts());
+                self.metrics.gauge(Gauge::PmPowerDeficitW, deficit.watts());
             }
         }
         if self.metrics.is_enabled() {

@@ -22,10 +22,10 @@
 use aapm_platform::events::HardwareEvent;
 use aapm_platform::pstate::PStateId;
 use aapm_models::perf_model::PerfModel;
-use aapm_telemetry::metrics::Metrics;
+use aapm_telemetry::metrics::{Histogram, Metrics};
 
 use crate::governor::{Governor, GovernorCommand, SampleContext};
-use crate::hold::{hold_names, StaleHold};
+use crate::hold::{self, StaleHold};
 use crate::limits::PerformanceFloor;
 
 /// The PowerSave governor.
@@ -72,7 +72,7 @@ impl PowerSave {
             model,
             floor,
             last_choice: None,
-            hold: StaleHold::new(hold_names!("ps", "ps")),
+            hold: StaleHold::new(hold::PS),
             predicted_ipc: None,
             metrics: Metrics::disabled(),
         }
@@ -138,7 +138,7 @@ impl Governor for PowerSave {
         let ipc = ctx.counters.ipc().unwrap_or(0.0);
         let dcu = ctx.counters.dcu().unwrap_or(0.0);
         if let Some(predicted) = self.predicted_ipc.take() {
-            self.metrics.observe("ps.projection_error_ipc", (ipc - predicted).abs());
+            self.metrics.observe(Histogram::PsProjectionErrorIpc, (ipc - predicted).abs());
         }
         // Scan from the lowest frequency up; take the first state whose
         // predicted throughput clears the floor. The peak state always
@@ -157,7 +157,7 @@ impl Governor for PowerSave {
             // Floor slack: how far above the floor the discrete choice
             // lands (the Figure 9 "p-states are coarse" observation).
             if let Some(relative) = self.predicted_relative_performance(ctx, ipc, dcu, chosen) {
-                self.metrics.observe("ps.floor_slack", relative - self.floor.fraction());
+                self.metrics.observe(Histogram::PsFloorSlack, relative - self.floor.fraction());
             }
             // One-step-ahead IPC projection for the chosen state (eq. 3):
             // performance ∝ IPC × f, so the predicted IPC rescales the

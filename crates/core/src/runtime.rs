@@ -36,7 +36,7 @@ use aapm_telemetry::daq::{DaqConfig, PowerDaq, PowerSample};
 use aapm_telemetry::faults::{
     ActuationFault, FaultConfig, FaultPlan, FaultStats, FaultWindow, PowerFault,
 };
-use aapm_telemetry::metrics::{EventKind, Metrics};
+use aapm_telemetry::metrics::{Counter, EventKind, Gauge, Histogram, Metrics};
 use aapm_telemetry::pmc::{CounterSample, PmcDriver};
 use aapm_telemetry::sensor::{ThermalSensor, ThermalSensorConfig};
 use aapm_telemetry::trace::RunTrace;
@@ -207,7 +207,7 @@ impl<G: Governor> NodeLoop<G> {
         {
             let command = self.commands[self.next_command].command;
             self.governor.command(command);
-            self.metrics.inc("runtime.commands_delivered");
+            self.metrics.inc(Counter::RuntimeCommandsDelivered);
             self.metrics.event(now, EventKind::CommandDelivered { command: command_name(command) });
             self.next_command += 1;
         }
@@ -241,9 +241,9 @@ impl<G: Governor> NodeLoop<G> {
         let now = machine.elapsed();
         let queue = machine.take_queue_sample();
         if let Some(sample) = &queue {
-            self.metrics.gauge("queue.depth", sample.depth as f64);
+            self.metrics.gauge(Gauge::QueueDepth, sample.depth as f64);
             for &sojourn in &sample.sojourns {
-                self.metrics.observe("request.sojourn_s", sojourn);
+                self.metrics.observe(Histogram::RequestSojournS, sojourn);
             }
         }
         let faults = self.plan.next_interval(now);
@@ -255,7 +255,7 @@ impl<G: Governor> NodeLoop<G> {
         let temperature = self.thermal.read(machine);
         let counters = if faults.pmc_missed {
             self.stats.pmc_missed += 1;
-            self.metrics.inc("fault.pmc_missed");
+            self.metrics.inc(Counter::FaultPmcMissed);
             self.metrics.event(now, EventKind::FaultInjected { kind: "pmc_missed" });
             self.pmc.sample_missed(machine, interval)
         } else {
@@ -269,7 +269,7 @@ impl<G: Governor> NodeLoop<G> {
             }
             PowerFault::Dropped => {
                 self.stats.power_dropouts += 1;
-                self.metrics.inc("fault.power_dropped");
+                self.metrics.inc(Counter::FaultPowerDropped);
                 self.metrics.event(now, EventKind::FaultInjected { kind: "power_dropped" });
                 None
             }
@@ -278,7 +278,7 @@ impl<G: Governor> NodeLoop<G> {
                 // current interval.
                 Some(prev) => {
                     self.stats.power_stuck += 1;
-                    self.metrics.inc("fault.power_stuck");
+                    self.metrics.inc(Counter::FaultPowerStuck);
                     self.metrics.event(now, EventKind::FaultInjected { kind: "power_stuck" });
                     Some(PowerSample { power: prev, ..power })
                 }
@@ -292,7 +292,7 @@ impl<G: Governor> NodeLoop<G> {
         };
         let shown_temperature = if faults.thermal_dropped {
             self.stats.thermal_dropouts += 1;
-            self.metrics.inc("fault.thermal_dropped");
+            self.metrics.inc(Counter::FaultThermalDropped);
             self.metrics.event(now, EventKind::FaultInjected { kind: "thermal_dropped" });
             None
         } else {
@@ -309,9 +309,9 @@ impl<G: Governor> NodeLoop<G> {
         };
         let target = self.governor.decide(&ctx);
         let throttle = self.governor.throttle_decision(&ctx);
-        self.metrics.inc("runtime.intervals");
+        self.metrics.inc(Counter::RuntimeIntervals);
         if target != current {
-            self.metrics.inc("runtime.pstate_changes");
+            self.metrics.inc(Counter::RuntimePstateChanges);
             self.metrics
                 .event(now, EventKind::Decision { from: current.index(), to: target.index() });
         }
@@ -357,19 +357,19 @@ impl<G: Governor> NodeLoop<G> {
             ActuationFault::Stalled => {
                 let intervals = config.stall_intervals.max(1);
                 self.stats.actuations_stalled += 1;
-                self.metrics.inc("actuator.stalled");
+                self.metrics.inc(Counter::ActuatorStalled);
                 self.metrics.event(now, EventKind::ActuatorStalled { intervals: intervals as u64 });
                 self.stalled_write = Some((target, intervals));
                 Ok(())
             }
             ActuationFault::Ignored => {
                 self.stats.actuations_ignored += 1;
-                self.metrics.inc("actuator.ignored");
+                self.metrics.inc(Counter::ActuatorIgnored);
                 self.metrics.event(now, EventKind::ActuatorIgnored { attempt: 1 });
                 for retry in 0..config.retry_limit {
                     if !self.plan.retry_fails(now) {
                         self.stalled_write = None;
-                        self.metrics.inc("actuator.recoveries");
+                        self.metrics.inc(Counter::ActuatorRecoveries);
                         self.metrics.event(
                             now,
                             EventKind::ActuatorRecovered { attempts: retry as u64 + 2 },
@@ -377,12 +377,12 @@ impl<G: Governor> NodeLoop<G> {
                         return machine.set_pstate(target);
                     }
                     self.stats.actuations_ignored += 1;
-                    self.metrics.inc("actuator.ignored");
+                    self.metrics.inc(Counter::ActuatorIgnored);
                     self.metrics
                         .event(now, EventKind::ActuatorIgnored { attempt: retry as u64 + 2 });
                 }
                 self.stats.actuation_failures += 1;
-                self.metrics.inc("actuator.failures");
+                self.metrics.inc(Counter::ActuatorFailures);
                 let attempts = config.retry_limit as u64 + 1;
                 self.metrics.event(now, EventKind::ActuationFailed { attempts });
                 Ok(())
@@ -719,10 +719,10 @@ impl<'a> Session<'a> {
         });
         if let Some(summary) = &requests {
             let metrics = &self.node.metrics;
-            metrics.gauge("serve.requests_arrived", summary.arrived as f64);
-            metrics.gauge("serve.requests_completed", summary.completed as f64);
-            metrics.gauge("serve.requests_pending", summary.pending as f64);
-            metrics.gauge("serve.energy_per_request_j", summary.energy_per_request.joules());
+            metrics.gauge(Gauge::ServeRequestsArrived, summary.arrived as f64);
+            metrics.gauge(Gauge::ServeRequestsCompleted, summary.completed as f64);
+            metrics.gauge(Gauge::ServeRequestsPending, summary.pending as f64);
+            metrics.gauge(Gauge::ServeEnergyPerRequestJ, summary.energy_per_request.joules());
         }
         let report = RunReport {
             workload: self.workload,

@@ -36,11 +36,11 @@
 use aapm_platform::events::HardwareEvent;
 use aapm_platform::pstate::PStateId;
 use aapm_platform::units::Seconds;
-use aapm_telemetry::metrics::Metrics;
+use aapm_telemetry::metrics::{Counter, Gauge, Histogram, Metrics};
 use aapm_telemetry::window::MovingWindow;
 
 use crate::governor::{Governor, SampleContext};
-use crate::hold::{hold_names, StaleHold};
+use crate::hold::{self, StaleHold};
 
 /// Tunables of the SloSave control loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -144,7 +144,7 @@ impl SloSave {
         Ok(SloSave {
             slo,
             sojourns: MovingWindow::new(config.window_sojourns),
-            hold: StaleHold::new(hold_names!("slo-save", "slo_save")),
+            hold: StaleHold::new(hold::SLO_SAVE),
             config,
             good_streak: 0,
             violation_seconds: 0.0,
@@ -217,16 +217,16 @@ impl Governor for SloSave {
             // trap itself behind its own backlog); an idle queue can wait.
             return if sample.depth > 0 { self.step_up(ctx) } else { ctx.current };
         };
-        self.metrics.observe("slo.p99_s", p99);
+        self.metrics.observe(Histogram::SloP99S, p99);
 
         // `!(p99 <= slo)` rather than `p99 > slo`: a NaN-poisoned tail
         // must take the violating branch.
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
         if !(p99 <= self.slo.seconds()) {
             self.violation_seconds += interval;
-            self.metrics.gauge("slo.violation_minutes", self.violation_minutes());
+            self.metrics.gauge(Gauge::SloViolationMinutes, self.violation_minutes());
             self.good_streak = 0;
-            self.metrics.inc("slo_save.steps_up");
+            self.metrics.inc(Counter::SloSaveStepsUp);
             return self.step_up(ctx);
         }
 
@@ -237,7 +237,7 @@ impl Governor for SloSave {
             if self.good_streak >= self.config.settle_intervals {
                 self.good_streak = 0;
                 if let Some(lower) = ctx.table.next_lower(ctx.current) {
-                    self.metrics.inc("slo_save.steps_down");
+                    self.metrics.inc(Counter::SloSaveStepsDown);
                     return lower;
                 }
             }

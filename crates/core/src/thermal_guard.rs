@@ -15,7 +15,7 @@
 
 use aapm_platform::pstate::PStateId;
 use aapm_platform::thermal::Celsius;
-use aapm_telemetry::metrics::{EventKind, Metrics};
+use aapm_telemetry::metrics::{Counter, EventKind, Metrics};
 
 use crate::governor::{Governor, SampleContext};
 use crate::layer::GovernorLayer;
@@ -80,7 +80,7 @@ impl<G: Governor> ThermalGuard<G> {
     /// already pinned at the same state, to bound trace volume).
     fn lower_ceiling(&mut self, ctx: &SampleContext<'_>, lowered: PStateId) {
         if self.ceiling != Some(lowered) {
-            self.metrics.inc("thermal_guard.ceiling_lowered");
+            self.metrics.inc(Counter::ThermalGuardCeilingLowered);
             self.metrics.event(
                 ctx.counters.end,
                 EventKind::ThermalCeilingLowered { ceiling: lowered.index() },
@@ -123,7 +123,7 @@ impl<G: Governor> ThermalGuard<G> {
                     self.relax_streak = 0;
                     let raised = ctx.table.next_higher(ceiling);
                     self.ceiling = raised;
-                    self.metrics.inc("thermal_guard.ceiling_raised");
+                    self.metrics.inc(Counter::ThermalGuardCeilingRaised);
                     self.metrics.event(
                         ctx.counters.end,
                         EventKind::ThermalCeilingRaised {

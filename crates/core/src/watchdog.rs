@@ -14,7 +14,7 @@
 
 use aapm_platform::error::PlatformError;
 use aapm_platform::pstate::PStateId;
-use aapm_telemetry::metrics::{EventKind, Metrics};
+use aapm_telemetry::metrics::{Counter, EventKind, Metrics};
 
 use crate::governor::{Governor, SampleContext};
 use crate::layer::GovernorLayer;
@@ -121,7 +121,7 @@ impl<G: Governor> GovernorLayer for Watchdog<G> {
             self.healthy_streak = 0;
             if self.loss_streak >= LOSS_THRESHOLD && !self.engaged {
                 self.engaged = true;
-                self.metrics.inc("watchdog.engagements");
+                self.metrics.inc(Counter::WatchdogEngagements);
                 self.metrics.event(
                     ctx.counters.end,
                     EventKind::WatchdogEngaged { blind_intervals: self.loss_streak as u64 },
@@ -134,7 +134,7 @@ impl<G: Governor> GovernorLayer for Watchdog<G> {
                 if self.healthy_streak >= RECOVERY_SAMPLES {
                     self.engaged = false;
                     self.healthy_streak = 0;
-                    self.metrics.inc("watchdog.releases");
+                    self.metrics.inc(Counter::WatchdogReleases);
                     self.metrics.event(ctx.counters.end, EventKind::WatchdogReleased);
                 }
             }

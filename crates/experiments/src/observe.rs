@@ -204,7 +204,7 @@ fn aggregate_json(runs: &[RunRecord]) -> String {
 mod tests {
     use super::*;
     use aapm_platform::units::Seconds;
-    use aapm_telemetry::metrics::EventKind;
+    use aapm_telemetry::metrics::{Counter, EventKind, Gauge, Histogram};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -213,11 +213,11 @@ mod tests {
         dir
     }
 
-    fn instrumented(counter: &'static str, value: f64) -> Metrics {
+    fn instrumented(counter: Counter, value: f64) -> Metrics {
         let metrics = Metrics::enabled();
         metrics.inc(counter);
-        metrics.observe("h.margin", value);
-        metrics.gauge("g.final", value);
+        metrics.observe(Histogram::PmGuardbandMarginW, value);
+        metrics.gauge(Gauge::PmGuardbandHeadroomW, value);
         metrics.event(Seconds::new(0.01), EventKind::HoldEntered { governor: "pm" });
         metrics
     }
@@ -236,7 +236,8 @@ mod tests {
             ];
             for &i in order {
                 let (label, v) = runs[i];
-                observer.observe_run_with_spec(label, &instrumented("c.hit", v), None);
+                let metrics = instrumented(Counter::ActuatorRecoveries, v);
+                observer.observe_run_with_spec(label, &metrics, None);
             }
             assert_eq!(observer.runs_observed(), 3);
             observer.finish(Some(&out)).unwrap();
@@ -261,7 +262,7 @@ mod tests {
             "a byte-identical re-run shares its first run's file"
         );
         assert!(json_a.contains("\"runs\": 3"), "the aggregate counts every run");
-        assert!(json_a.contains("\"c.hit\": 3"));
+        assert!(json_a.contains("\"actuator.recoveries\": 3"));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -271,7 +272,7 @@ mod tests {
         let observer = RunObserver::new(Some(dir.clone()));
         observer.observe_run_with_spec(
             "ammp-pm-s11",
-            &instrumented("c.hit", 1.0),
+            &instrumented(Counter::ActuatorRecoveries, 1.0),
             Some(r#""spec":{"kind":"pm","limit_w":12.5},"perf":{"dcu_threshold":1.21,"exponent":0.81}"#),
         );
         observer.finish(None).unwrap();
@@ -301,7 +302,7 @@ mod tests {
     fn aggregate_handles_non_finite_gauges() {
         let observer = RunObserver::new(None);
         let metrics = Metrics::enabled();
-        metrics.gauge("g.bad", f64::NAN);
+        metrics.gauge(Gauge::SloViolationMinutes, f64::NAN);
         observer.observe_run_with_spec("x", &metrics, None);
         let runs = observer.runs.lock().unwrap();
         let json = aggregate_json(&runs);

@@ -9,12 +9,15 @@
 //! reused by two tables (tab3/tab4), and spec-built median runs under an
 //! outer fan (fig5). One more test
 //! runs the whole suite at widths 1 and 2 and checks it against the
-//! committed `results/*.csv`. Training on the pool must give the same
-//! models, bit for bit, at every width.
+//! committed `results/*.csv`, and one runs `fault-matrix` under an
+//! observer against the committed metrics aggregate and trace names.
+//! Training on the pool must give the same models, bit for bit, at every
+//! width.
 
 use aapm_experiments::{
     run_by_id, run_suite, ExperimentContext, ExperimentOutput, Pool, RunObserver,
 };
+use aapm_telemetry::metrics::{Counter, Gauge, Histogram};
 use aapm_workloads::footprint::Footprint;
 use aapm_workloads::loops::MicroLoop;
 use std::path::Path;
@@ -286,6 +289,101 @@ fn check_committed_csvs(outputs: &[ExperimentOutput], jobs: usize) {
              `all --csv results/` and `git diff` show how"
         );
     }
+}
+
+/// The sorted trace file names `fault-matrix` writes, recorded before the
+/// metrics registry moved to typed slots. Each name ends in the 16-hex
+/// FNV-1a of its file's body, so the list pins every trace byte.
+const FAULT_MATRIX_TRACES: [&str; 36] = [
+    "ammp-pm-r0.00-s11-3d4defcfe5bf5412.jsonl",
+    "ammp-pm-r0.00-s23-b52ef9880453aa54.jsonl",
+    "ammp-pm-r0.00-s47-2868af8be8f5b7fc.jsonl",
+    "ammp-pm-r0.02-s11-cc88599a28df87b9.jsonl",
+    "ammp-pm-r0.02-s23-3ec626ab4f7d5018.jsonl",
+    "ammp-pm-r0.02-s47-fbf844e063573d33.jsonl",
+    "ammp-pm-r0.05-s11-ddb516819296d21a.jsonl",
+    "ammp-pm-r0.05-s23-ca56aa1a14ecc44d.jsonl",
+    "ammp-pm-r0.05-s47-d40ece144df718c4.jsonl",
+    "ammp-pm-r0.10-s11-a9bf39626a32efa5.jsonl",
+    "ammp-pm-r0.10-s23-3cf3868c965522e6.jsonl",
+    "ammp-pm-r0.10-s47-eb73acaf2966455b.jsonl",
+    "ammp-ps-r0.00-s11-dc22e859974827af.jsonl",
+    "ammp-ps-r0.00-s23-959614ae7107374e.jsonl",
+    "ammp-ps-r0.00-s47-0281ae656af46e6e.jsonl",
+    "ammp-ps-r0.02-s11-06e9621f33ae3577.jsonl",
+    "ammp-ps-r0.02-s23-d4fb784c636ea34d.jsonl",
+    "ammp-ps-r0.02-s47-798442f7de17ebf9.jsonl",
+    "ammp-ps-r0.05-s11-3a926d4a442d9e89.jsonl",
+    "ammp-ps-r0.05-s23-d671a1eb9dab5c69.jsonl",
+    "ammp-ps-r0.05-s47-59bd078fc2499253.jsonl",
+    "ammp-ps-r0.10-s11-06ac105ebc99270f.jsonl",
+    "ammp-ps-r0.10-s23-06c018c6512b464c.jsonl",
+    "ammp-ps-r0.10-s47-b3db835347dfbfce.jsonl",
+    "ammp-watchdog_pm_-r0.00-s11-43271497f4bdef8d.jsonl",
+    "ammp-watchdog_pm_-r0.00-s23-0d7dc7b0a9a69c93.jsonl",
+    "ammp-watchdog_pm_-r0.00-s47-475d31937aa0e8b7.jsonl",
+    "ammp-watchdog_pm_-r0.02-s11-493ada75b32a7752.jsonl",
+    "ammp-watchdog_pm_-r0.02-s23-ff5eb468e28edb85.jsonl",
+    "ammp-watchdog_pm_-r0.02-s47-9c5633994fa5f35c.jsonl",
+    "ammp-watchdog_pm_-r0.05-s11-fbe9de141a290c7b.jsonl",
+    "ammp-watchdog_pm_-r0.05-s23-63b21fc5477066d8.jsonl",
+    "ammp-watchdog_pm_-r0.05-s47-517e131a7f7dc871.jsonl",
+    "ammp-watchdog_pm_-r0.10-s11-b47bb6d86d11613e.jsonl",
+    "ammp-watchdog_pm_-r0.10-s23-0edfcc16378d0fab.jsonl",
+    "ammp-watchdog_pm_-r0.10-s47-a063d7bf0e13236c.jsonl",
+];
+
+/// The committed metrics aggregate is a Tier-1 gate: `fault-matrix` on a
+/// 2-wide observer pool must rewrite `results/METRICS_fault_matrix.json`
+/// byte for byte and write exactly [`FAULT_MATRIX_TRACES`].
+#[test]
+fn fault_matrix_reproduces_the_committed_metrics_and_traces() {
+    let temp = std::env::temp_dir().join(format!("aapm-fault-matrix-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&temp);
+    let trace_dir = temp.join("traces");
+    let metrics_path = temp.join("METRICS_fault_matrix.json");
+    let observer = Arc::new(RunObserver::new(Some(trace_dir.clone())));
+    let pool = Pool::with_observer(2, Arc::clone(&observer));
+    run_by_id(ctx(), &pool, "fault-matrix").expect("fault-matrix runs");
+    observer.finish(Some(&metrics_path)).expect("observer output is writable");
+
+    let produced = std::fs::read_to_string(&metrics_path).unwrap();
+    assert!(
+        produced == committed_metrics(),
+        "the fault-matrix aggregate differs from results/METRICS_fault_matrix.json; \
+         `fault-matrix --metrics-out` and `git diff` show how"
+    );
+    let mut names: Vec<String> = std::fs::read_dir(&trace_dir)
+        .expect("trace dir exists")
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    assert_eq!(names, FAULT_MATRIX_TRACES, "fault-matrix trace names or bodies moved");
+    let _ = std::fs::remove_dir_all(&temp);
+}
+
+/// Every key of the committed aggregate names a variant of its kind, so
+/// the vocabulary still covers each metric the gate above pins.
+#[test]
+fn committed_metrics_keys_are_in_the_vocabulary() {
+    let json = aapm::json::parse(&committed_metrics()).expect("the aggregate is JSON");
+    let kinds: [(&str, Vec<&str>); 3] = [
+        ("counters", Counter::ALL.iter().map(|c| c.name()).collect()),
+        ("gauges", Gauge::ALL.iter().map(|g| g.name()).collect()),
+        ("histograms", Histogram::ALL.iter().map(|h| h.name()).collect()),
+    ];
+    for (kind, names) in kinds {
+        let fields = json.get(kind).and_then(|v| v.as_object()).expect("a kind object");
+        assert!(!fields.is_empty(), "the aggregate records some {kind}");
+        for (key, _) in fields {
+            assert!(names.contains(&key.as_str()), "{kind} key {key} names no variant");
+        }
+    }
+}
+
+fn committed_metrics() -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/METRICS_fault_matrix.json");
+    std::fs::read_to_string(path).expect("results/METRICS_fault_matrix.json is readable")
 }
 
 #[test]

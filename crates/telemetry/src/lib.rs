@@ -19,9 +19,10 @@
 //! * [`faults`] — seeded fault injection for the whole chain (sample
 //!   dropouts, stuck readings, missed counter reads, ignored/stalled
 //!   actuator writes);
-//! * [`metrics`] — the observability layer: a counters/gauges/histograms
-//!   registry plus structured control-loop events stamped with simulated
-//!   time (zero-overhead when no registry is installed).
+//! * [`metrics`] — the observability layer: counters, gauges and
+//!   histograms named by a closed vocabulary and recorded by slot, plus
+//!   structured control-loop events stamped with simulated time (one
+//!   branch per call when no registry is installed).
 
 pub mod daq;
 pub mod derived;

@@ -6,15 +6,21 @@
 //! internals (hold-window activations, actuator retries, projection errors)
 //! were invisible. This module is the observability backbone a production
 //! power-management stack would ship with (cf. Mazzola et al.'s
-//! counter-stream telemetry): a registry of **counters**, **gauges**, and
-//! **histogram summaries** keyed by `&'static str` names, plus a stream of
-//! structured [`Event`]s stamped with *simulated* time.
+//! counter-stream telemetry): **counters**, **gauges**, and **histogram
+//! summaries** named by a closed vocabulary — the [`Counter`], [`Gauge`]
+//! and [`Histogram`] enums, one variant per recorded name — plus a stream
+//! of structured [`Event`]s stamped with *simulated* time.
 //!
 //! Design contract (DESIGN.md §9):
 //!
-//! * **Zero overhead when disabled.** A [`Metrics`] handle is either
-//!   *installed* (backed by a shared registry) or *disabled* (the default).
-//!   Every recording call on a disabled handle is a single `Option` check;
+//! * **One list of names.** A recording call takes a variant, never a
+//!   string, so a misspelt name is a compile error rather than a new
+//!   metric. The registry is three dense arrays indexed by variant, and a
+//!   [`MetricsSnapshot`] lists the recorded slots in declaration order,
+//!   which is the byte order of their names.
+//! * **Cheap when disabled.** A [`Metrics`] handle is either *installed*
+//!   (backed by a shared registry) or *disabled* (the default). Every
+//!   recording call on a disabled handle is a single `Option` check;
 //!   no allocation, no formatting.
 //! * **Determinism.** Recording must never perturb simulation state. All
 //!   values recorded are pure observations of state the control loop
@@ -26,11 +32,102 @@
 //!   The cross-run aggregation layer lives in `aapm-experiments`.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
 use aapm_platform::units::Seconds;
+
+/// Declares one kind of the vocabulary: an enum with one variant per
+/// name, [`ALL`](Counter::ALL) in declaration order, and `name()`.
+macro_rules! vocabulary {
+    ($(#[$doc:meta])* $kind:ident { $($variant:ident => $name:literal,)+ }) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $kind {
+            $(#[doc = concat!("`", $name, "`")] $variant,)+
+        }
+
+        impl $kind {
+            /// Every variant in declaration order, which is the byte order
+            /// of their names: the order a snapshot lists them in.
+            pub const ALL: &'static [$kind] = &[$($kind::$variant),+];
+
+            /// The name the metric is exported under.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $($kind::$variant => $name,)+
+                }
+            }
+        }
+    };
+}
+
+vocabulary! {
+    /// A monotone event count. Listed in a snapshot once non-zero.
+    Counter {
+        ActuatorFailures => "actuator.failures",
+        ActuatorIgnored => "actuator.ignored",
+        ActuatorRecoveries => "actuator.recoveries",
+        ActuatorStalled => "actuator.stalled",
+        AdaptDegenerateWindows => "adapt.degenerate_windows",
+        AdaptFallbacks => "adapt.fallbacks",
+        AdaptRefitCount => "adapt.refit_count",
+        FaultPmcMissed => "fault.pmc_missed",
+        FaultPowerDropped => "fault.power_dropped",
+        FaultPowerStuck => "fault.power_stuck",
+        FaultThermalDropped => "fault.thermal_dropped",
+        PmFailsafeSteps => "pm.failsafe_steps",
+        PmHoldEntries => "pm.hold_entries",
+        PmHoldExits => "pm.hold_exits",
+        PmStaleIntervals => "pm.stale_intervals",
+        PsFailsafeSteps => "ps.failsafe_steps",
+        PsHoldEntries => "ps.hold_entries",
+        PsHoldExits => "ps.hold_exits",
+        PsStaleIntervals => "ps.stale_intervals",
+        RuntimeCommandsDelivered => "runtime.commands_delivered",
+        RuntimeIntervals => "runtime.intervals",
+        RuntimePstateChanges => "runtime.pstate_changes",
+        SloSaveFailsafeSteps => "slo_save.failsafe_steps",
+        SloSaveHoldEntries => "slo_save.hold_entries",
+        SloSaveHoldExits => "slo_save.hold_exits",
+        SloSaveStaleIntervals => "slo_save.stale_intervals",
+        SloSaveStepsDown => "slo_save.steps_down",
+        SloSaveStepsUp => "slo_save.steps_up",
+        ThermalGuardCeilingLowered => "thermal_guard.ceiling_lowered",
+        ThermalGuardCeilingRaised => "thermal_guard.ceiling_raised",
+        WatchdogEngagements => "watchdog.engagements",
+        WatchdogReleases => "watchdog.releases",
+    }
+}
+
+vocabulary! {
+    /// A last-written value. Listed in a snapshot once set.
+    Gauge {
+        PmGuardbandHeadroomW => "pm.guardband_headroom_w",
+        PmPowerDeficitW => "pm.power_deficit_w",
+        QueueDepth => "queue.depth",
+        ServeEnergyPerRequestJ => "serve.energy_per_request_j",
+        ServeRequestsArrived => "serve.requests_arrived",
+        ServeRequestsCompleted => "serve.requests_completed",
+        ServeRequestsPending => "serve.requests_pending",
+        SloViolationMinutes => "slo.violation_minutes",
+    }
+}
+
+vocabulary! {
+    /// A [`Summary`] of an observed value stream. Listed in a snapshot once
+    /// it holds an observation.
+    Histogram {
+        AdaptCoeffDriftW => "adapt.coeff_drift_w",
+        AdaptModelErrorW => "adapt.model_error_w",
+        PmGuardbandMarginW => "pm.guardband_margin_w",
+        PmProjectionErrorDpc => "pm.projection_error_dpc",
+        PsFloorSlack => "ps.floor_slack",
+        PsProjectionErrorIpc => "ps.projection_error_ipc",
+        RequestSojournS => "request.sojourn_s",
+        SloP99S => "slo.p99_s",
+    }
+}
 
 /// Summary statistics of an observed value stream — a histogram without
 /// buckets, which is all the deterministic assertions and JSON exports
@@ -277,13 +374,25 @@ impl Event {
     }
 }
 
-/// The backing store of an installed [`Metrics`] handle.
-#[derive(Debug, Default)]
+/// The backing store of an installed [`Metrics`] handle: one slot per
+/// variant of each kind.
+#[derive(Debug)]
 struct Registry {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
-    histograms: BTreeMap<&'static str, Summary>,
+    counters: [u64; Counter::ALL.len()],
+    gauges: [Option<f64>; Gauge::ALL.len()],
+    histograms: [Summary; Histogram::ALL.len()],
     events: Vec<Event>,
+}
+
+impl Default for Registry {
+    fn default() -> Self {
+        Registry {
+            counters: [0; Counter::ALL.len()],
+            gauges: [None; Gauge::ALL.len()],
+            histograms: [Summary::default(); Histogram::ALL.len()],
+            events: Vec::new(),
+        }
+    }
 }
 
 /// An immutable end-of-run snapshot of a registry, sorted by name. Plain
@@ -291,11 +400,11 @@ struct Registry {
 /// governor-internal behaviour instead of eyeballing traces.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
-    /// Counter values, sorted by name.
+    /// Non-zero counter values, sorted by name.
     pub counters: Vec<(&'static str, u64)>,
     /// Last-written gauge values, sorted by name.
     pub gauges: Vec<(&'static str, f64)>,
-    /// Histogram summaries, sorted by name.
+    /// Non-empty histogram summaries, sorted by name.
     pub histograms: Vec<(&'static str, Summary)>,
     /// Number of events the run emitted.
     pub events: usize,
@@ -342,18 +451,19 @@ impl MetricsSnapshot {
 ///
 /// ```
 /// use aapm_platform::units::Seconds;
-/// use aapm_telemetry::metrics::{EventKind, Metrics};
+/// use aapm_telemetry::metrics::{Counter, EventKind, Histogram, Metrics};
 ///
 /// let metrics = Metrics::enabled();
-/// metrics.inc("actuator.ignored");
-/// metrics.observe("pm.guardband_margin_w", 1.25);
+/// metrics.inc(Counter::ActuatorIgnored);
+/// metrics.observe(Histogram::PmGuardbandMarginW, 1.25);
 /// metrics.event(Seconds::new(0.01), EventKind::HoldEntered { governor: "pm" });
 /// let snap = metrics.snapshot();
 /// assert_eq!(snap.counter("actuator.ignored"), 1);
+/// assert_eq!(snap.histogram("pm.guardband_margin_w").map(|h| h.count), Some(1));
 /// assert_eq!(snap.events, 1);
 ///
 /// let disabled = Metrics::default();
-/// disabled.inc("actuator.ignored");
+/// disabled.inc(Counter::ActuatorIgnored);
 /// assert!(disabled.snapshot().is_empty());
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -382,25 +492,18 @@ impl Metrics {
     }
 
     /// Increments a counter by 1.
-    pub fn inc(&self, name: &'static str) {
-        self.add(name, 1);
-    }
-
-    /// Increments a counter by `delta`.
-    pub fn add(&self, name: &'static str, delta: u64) {
-        self.with(|r| *r.counters.entry(name).or_insert(0) += delta);
+    pub fn inc(&self, counter: Counter) {
+        self.with(|r| r.counters[counter as usize] += 1);
     }
 
     /// Sets a gauge to `value` (last write wins).
-    pub fn gauge(&self, name: &'static str, value: f64) {
-        self.with(|r| {
-            r.gauges.insert(name, value);
-        });
+    pub fn gauge(&self, gauge: Gauge, value: f64) {
+        self.with(|r| r.gauges[gauge as usize] = Some(value));
     }
 
     /// Folds `value` into a histogram summary.
-    pub fn observe(&self, name: &'static str, value: f64) {
-        self.with(|r| r.histograms.entry(name).or_default().observe(value));
+    pub fn observe(&self, histogram: Histogram, value: f64) {
+        self.with(|r| r.histograms[histogram as usize].observe(value));
     }
 
     /// Appends a structured event stamped with simulated time `t`.
@@ -408,12 +511,24 @@ impl Metrics {
         self.with(|r| r.events.push(Event { t, kind }));
     }
 
-    /// A sorted snapshot of everything recorded so far.
+    /// A sorted snapshot of everything recorded so far: the recorded slots
+    /// of each kind in declaration order.
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.with(|r| MetricsSnapshot {
-            counters: r.counters.iter().map(|(&n, &v)| (n, v)).collect(),
-            gauges: r.gauges.iter().map(|(&n, &v)| (n, v)).collect(),
-            histograms: r.histograms.iter().map(|(&n, &s)| (n, s)).collect(),
+            counters: Counter::ALL
+                .iter()
+                .map(|&c| (c.name(), r.counters[c as usize]))
+                .filter(|&(_, v)| v > 0)
+                .collect(),
+            gauges: Gauge::ALL
+                .iter()
+                .filter_map(|&g| r.gauges[g as usize].map(|v| (g.name(), v)))
+                .collect(),
+            histograms: Histogram::ALL
+                .iter()
+                .map(|&h| (h.name(), r.histograms[h as usize]))
+                .filter(|(_, s)| s.count > 0)
+                .collect(),
             events: r.events.len(),
         })
         .unwrap_or_default()
@@ -445,10 +560,9 @@ mod tests {
     fn disabled_handle_records_nothing() {
         let metrics = Metrics::default();
         assert!(!metrics.is_enabled());
-        metrics.inc("a");
-        metrics.add("a", 10);
-        metrics.gauge("g", 1.0);
-        metrics.observe("h", 2.0);
+        metrics.inc(Counter::ActuatorFailures);
+        metrics.gauge(Gauge::PmGuardbandHeadroomW, 1.0);
+        metrics.observe(Histogram::AdaptCoeffDriftW, 2.0);
         metrics.event(Seconds::new(0.5), EventKind::WatchdogReleased);
         assert!(metrics.snapshot().is_empty());
         assert!(metrics.events().is_empty());
@@ -459,11 +573,11 @@ mod tests {
     fn clones_share_one_registry() {
         let metrics = Metrics::enabled();
         let clone = metrics.clone();
-        metrics.inc("runtime.intervals");
-        clone.inc("runtime.intervals");
-        clone.gauge("pm.margin", -0.5);
+        metrics.inc(Counter::RuntimeIntervals);
+        clone.inc(Counter::RuntimeIntervals);
+        clone.gauge(Gauge::PmGuardbandHeadroomW, -0.5);
         assert_eq!(metrics.snapshot().counter("runtime.intervals"), 2);
-        assert_eq!(metrics.snapshot().gauge("pm.margin"), Some(-0.5));
+        assert_eq!(metrics.snapshot().gauge("pm.guardband_headroom_w"), Some(-0.5));
     }
 
     #[test]
@@ -530,17 +644,58 @@ mod tests {
     #[test]
     fn snapshot_is_sorted_and_queryable() {
         let metrics = Metrics::enabled();
-        metrics.inc("z.last");
-        metrics.inc("a.first");
-        metrics.observe("h", 1.0);
-        metrics.observe("h", 5.0);
+        metrics.inc(Counter::WatchdogReleases);
+        metrics.inc(Counter::ActuatorFailures);
+        metrics.observe(Histogram::SloP99S, 1.0);
+        metrics.observe(Histogram::SloP99S, 5.0);
         let snap = metrics.snapshot();
-        assert_eq!(snap.counters[0].0, "a.first");
-        assert_eq!(snap.counters[1].0, "z.last");
+        assert_eq!(snap.counters[0].0, "actuator.failures");
+        assert_eq!(snap.counters[1].0, "watchdog.releases");
         assert_eq!(snap.counter("missing"), 0);
-        let h = snap.histogram("h").unwrap();
+        let h = snap.histogram("slo.p99_s").unwrap();
         assert_eq!(h.count, 2);
         assert!((h.max - 5.0).abs() < 1e-12);
         assert_eq!(snap.histogram("absent"), None);
+    }
+
+    /// The snapshot lists slots in declaration order instead of sorting,
+    /// so each kind must be declared in strictly increasing byte order of
+    /// its names, which also rules out a name declared twice; and no name
+    /// may belong to two kinds, or the aggregate would merge them.
+    #[test]
+    fn vocabulary_is_in_name_order_and_kinds_are_disjoint() {
+        let kinds: [Vec<&str>; 3] = [
+            Counter::ALL.iter().map(|c| c.name()).collect(),
+            Gauge::ALL.iter().map(|g| g.name()).collect(),
+            Histogram::ALL.iter().map(|h| h.name()).collect(),
+        ];
+        for names in &kinds {
+            for pair in names.windows(2) {
+                assert!(pair[0].as_bytes() < pair[1].as_bytes(), "{} before {}", pair[0], pair[1]);
+            }
+        }
+        let mut all: Vec<&str> = kinds.concat();
+        all.sort_unstable();
+        let before = all.len();
+        all.dedup();
+        assert_eq!(all.len(), before, "a name belongs to two kinds");
+        // A slot is its variant's declaration index.
+        assert!(Counter::ALL.iter().enumerate().all(|(i, &c)| c as usize == i));
+        assert!(Gauge::ALL.iter().enumerate().all(|(i, &g)| g as usize == i));
+        assert!(Histogram::ALL.iter().enumerate().all(|(i, &h)| h as usize == i));
+    }
+
+    #[test]
+    fn snapshot_lists_only_recorded_slots() {
+        let metrics = Metrics::enabled();
+        assert!(metrics.snapshot().is_empty(), "an untouched registry lists nothing");
+        metrics.gauge(Gauge::QueueDepth, f64::NAN);
+        metrics.gauge(Gauge::QueueDepth, 0.0);
+        metrics.observe(Histogram::RequestSojournS, 0.0);
+        let snap = metrics.snapshot();
+        assert!(snap.counters.is_empty());
+        assert_eq!(snap.gauges, vec![("queue.depth", 0.0)], "a gauge is listed once set, at 0 too");
+        assert_eq!(snap.histograms.len(), 1, "a histogram is listed once it holds a value");
+        assert_eq!(snap.histograms[0].1.count, 1);
     }
 }

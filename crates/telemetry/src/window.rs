@@ -4,8 +4,10 @@
 //! (100 ms); this module provides the window arithmetic. The window also
 //! serves order statistics: SLO governors read the moving p99 of request
 //! sojourns on every 10 ms decision, so [`MovingWindow`] keeps its values
-//! sorted as they arrive. A push costs a binary search plus a shift of at
-//! most `capacity` values (O(log w + w)); a percentile is O(1).
+//! sorted as they arrive. A push into a full window costs two binary
+//! searches and one shift of the values between the evicted value's slot
+//! and the new value's (O(log w + w), at most `capacity` values moved); a
+//! percentile is O(1).
 
 use std::collections::VecDeque;
 
@@ -58,16 +60,25 @@ impl MovingWindow {
         if self.sorted.is_empty() {
             self.sorted.reserve_exact(self.capacity);
         }
-        if self.values.len() == self.capacity {
-            let evicted = self.values.pop_front().expect("a full window holds a value");
-            // Equal under `total_cmp` means bit-identical, so the first
-            // match is exactly the evicted value.
-            let at = self.sorted.partition_point(|v| v.total_cmp(&evicted).is_lt());
-            self.sorted.remove(at);
-        }
+        let evicted = if self.is_full() { self.values.pop_front() } else { None };
         self.values.push_back(value);
-        let at = self.sorted.partition_point(|v| v.total_cmp(&value).is_le());
-        self.sorted.insert(at, value);
+        let above = self.sorted.partition_point(|v| v.total_cmp(&value).is_le());
+        let Some(evicted) = evicted else {
+            self.sorted.insert(above, value);
+            return;
+        };
+        // Equal under `total_cmp` means bit-identical, so the first match
+        // is exactly the evicted value. One shift closes its slot and opens
+        // the new value's: left when the new value sorts at or after it
+        // (then `above` counts the evicted value too), right when before.
+        let out = self.sorted.partition_point(|v| v.total_cmp(&evicted).is_lt());
+        if above > out {
+            self.sorted.copy_within(out + 1..above, out);
+            self.sorted[above - 1] = value;
+        } else {
+            self.sorted.copy_within(above..out, above + 1);
+            self.sorted[above] = value;
+        }
     }
 
     /// Number of values currently held.
@@ -223,5 +234,39 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_capacity_panics() {
         let _ = MovingWindow::new(0);
+    }
+
+    /// The sorted copy after every push, bit for bit, against a
+    /// `total_cmp` sort of the FIFO, over values that land below, equal
+    /// to and above the one each push evicts.
+    #[test]
+    fn sorted_copy_matches_a_sort_of_the_fifo_after_every_push() {
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for capacity in [1, 3, 8] {
+            let mut w = MovingWindow::new(capacity);
+            let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+            // Pushes whose value sorts below, equal to and above the
+            // evicted one.
+            let mut landed = [0_usize; 3];
+            for push in 0..3_000 {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                // A handful of values, signed zeros and NaN among them, so
+                // ties with the evicted value are common.
+                let value = match state >> 60 {
+                    0 => f64::NAN,
+                    1 => -0.0,
+                    2 => 0.0,
+                    k => (k % 5) as f64 - 2.0,
+                };
+                if let Some(&evicted) = w.values.front().filter(|_| w.is_full()) {
+                    landed[(value.total_cmp(&evicted) as i8 + 1) as usize] += 1;
+                }
+                w.push(value);
+                let mut expected: Vec<f64> = w.iter().collect();
+                expected.sort_by(f64::total_cmp);
+                assert_eq!(bits(&w.sorted), bits(&expected), "capacity {capacity}, push {push}");
+            }
+            assert!(landed.iter().all(|&n| n > 200), "capacity {capacity}: {landed:?}");
+        }
     }
 }
